@@ -13,7 +13,6 @@
 #include "bench/bench_util.hpp"
 #include "e2ap/codec.hpp"
 #include "e2sm/mac_sm.hpp"
-#include "e2sm/serde.hpp"
 
 using namespace flexric;
 

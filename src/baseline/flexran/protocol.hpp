@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "e2sm/serde.hpp"
+#include "e2sm/common.hpp"
 
 namespace flexric::baseline::flexran {
 

@@ -2,7 +2,7 @@
 
 #include "baseline/oran/rmr.hpp"
 #include "common/log.hpp"
-#include "e2sm/serde.hpp"
+#include "e2sm/common.hpp"
 
 namespace flexric::baseline::oran {
 

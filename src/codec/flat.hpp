@@ -86,6 +86,8 @@ class FlatWriter {
 // @view_of(the encoded table buffer passed to FlatView::parse)
 class FlatView {
  public:
+  /// An empty view: every read fails as truncated.
+  FlatView() = default;
   /// Validates the header. On success the view spans exactly one table.
   static Result<FlatView> parse(BytesView wire);
 
@@ -140,9 +142,9 @@ class FlatView {
     return v;
   }
 
-  BytesView table_;         // fixed + var regions (excludes size prefix)
-  std::size_t fixed_size_;  // boundary between fixed and var region
-  std::size_t cursor_ = 0;  // next scalar/slot position in the fixed region
+  BytesView table_;             // fixed + var regions (excludes size prefix)
+  std::size_t fixed_size_ = 0;  // boundary between fixed and var region
+  std::size_t cursor_ = 0;      // next scalar/slot position in the fixed region
 };
 
 }  // namespace flexric

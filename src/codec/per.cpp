@@ -41,6 +41,14 @@ void PerWriter::constrained(std::uint64_t v, std::uint64_t lo,
   bw_.bits(off, 8 * noct);
 }
 
+unsigned PerWriter::constrained_min_bits(std::uint64_t lo,
+                                         std::uint64_t hi) noexcept {
+  std::uint64_t span = hi - lo;  // range - 1
+  if (span < 256) return bits_for_range(span + 1);
+  if (span < 65536) return 16;
+  return bits_for_range(octets_for(span)) + 8;
+}
+
 void PerWriter::semi_constrained(std::uint64_t v, std::uint64_t lo) {
   // lint: allow(wire-assert) encode-side precondition on locally built IR
   FLEXRIC_ASSERT(v >= lo, "semi_constrained: value below lower bound");

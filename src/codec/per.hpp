@@ -31,6 +31,11 @@ class PerWriter {
   /// minimal-octet count followed by the aligned value.
   void constrained(std::uint64_t v, std::uint64_t lo, std::uint64_t hi);
 
+  /// Fewest bits constrained(v, lo, hi) can take, alignment padding not
+  /// counted (a lower bound wherever the value starts).
+  static unsigned constrained_min_bits(std::uint64_t lo,
+                                       std::uint64_t hi) noexcept;
+
   /// Semi-constrained whole number >= lo: length determinant + minimal
   /// octets (X.691 §11.7).
   void semi_constrained(std::uint64_t v, std::uint64_t lo);

@@ -1,6 +1,7 @@
 // E2AP wire codec interface: IR <-> bytes.
 //
-// Two concrete codecs exist (PER and FLAT); the transport layer and all SDK
+// One codec template (codec.cpp) derives both encodings, PER and FLAT, from
+// the serde() declarations in messages.hpp. The transport layer and all SDK
 // users only see this interface, so the encoding can be swapped per
 // connection — the flexibility the paper evaluates in §5.2.
 #pragma once
@@ -24,7 +25,8 @@ class Codec {
   /// Classify a wire image without a full decode. Both codecs lead with the
   /// message-type tag, so overload admission (DESIGN.md §11) can sort frames
   /// into CONTROL vs DATA in O(1) before spending decode cycles on a frame
-  /// that may be shed. Fails with Errc::malformed on an unknown tag.
+  /// that may be shed. Fails on an unknown tag or a frame too short to hold
+  /// one.
   [[nodiscard]] virtual Result<MsgType> peek_type(BytesView wire) const = 0;
 };
 

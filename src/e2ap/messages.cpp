@@ -2,11 +2,6 @@
 
 namespace flexric::e2ap {
 
-MsgType msg_type(const Msg& m) noexcept {
-  return std::visit(
-      [](const auto& msg) { return std::decay_t<decltype(msg)>::kType; }, m);
-}
-
 const char* msg_type_name(MsgType t) noexcept {
   switch (t) {
     case MsgType::setup_request: return "E2SetupRequest";

@@ -3,10 +3,11 @@
 // The paper's E2 abstraction (§4.3) models E2AP procedures "without loss of
 // information and independent of any particular encoding/decoding
 // algorithms". These structs are that IR: agents, the server library, iApps
-// and xApps all exchange them; the wire codecs in per_codec.cpp /
-// flat_codec.cpp translate them to bytes. 21 procedures are implemented
-// (the paper implements 20/26 in ASN.1 and 12/26 in FlatBuffers; here both
-// codecs cover all 21).
+// and xApps all exchange them. Each IE and each procedure declares its wire
+// fields once, in the serde() template next to its struct; the archives in
+// codec/serde.hpp derive the PER and FLAT codecs (e2ap/codec.hpp) from those
+// declarations. 21 procedures are implemented (the paper implements 20/26 in
+// ASN.1 and 12/26 in FlatBuffers; here both encodings cover all 21).
 //
 // SM payloads (event triggers, action definitions, indication header/message,
 // control header/message) are opaque byte strings at this layer — E2 double-
@@ -57,6 +58,14 @@ const char* msg_type_name(MsgType t) noexcept;
 /// management in the server merges CU+DU agents of the same base station.
 enum class NodeType : std::uint8_t { enb = 0, gnb, cu, du };
 
+/// RANfunctionID is 12 bits on the wire.
+constexpr std::uint16_t kMaxRanFunctionId = 4095;
+
+/// RANfunctionID IE, as a field or a list element.
+inline constexpr auto ran_function_id_ie = [](auto& a, auto& id) {
+  a.ranged(id, kMaxRanFunctionId);
+};
+
 /// Globally unique E2 node identity (simplified GlobalE2node-ID).
 struct GlobalNodeId {
   std::uint32_t plmn = 0;    ///< packed MCC/MNC
@@ -64,6 +73,13 @@ struct GlobalNodeId {
   NodeType type = NodeType::enb;
   bool operator==(const GlobalNodeId&) const = default;
 };
+
+template <typename A>
+void serde(A& a, GlobalNodeId& id) {
+  a.ranged(id.plmn, 0xFFFFFF);
+  a.ranged(id.nb_id, 0xFFFFFFF);  // 28-bit gNB id space
+  a.enumerated(id.type, 4);
+}
 
 /// A RAN function advertised by an E2 node at setup time.
 struct RanFunctionItem {
@@ -74,12 +90,32 @@ struct RanFunctionItem {
   bool operator==(const RanFunctionItem&) const = default;
 };
 
+template <typename A>
+void serde(A& a, RanFunctionItem& f) {
+  ran_function_id_ie(a, f.id);
+  a.ranged(f.revision, 4095);
+  a.str(f.name);
+  a.bytes(f.definition);
+}
+
 /// Failure cause (simplified E2AP Cause IE).
 struct Cause {
   enum class Group : std::uint8_t { ric = 0, transport, protocol, misc };
   Group group = Group::misc;
   std::uint8_t value = 0;
   bool operator==(const Cause&) const = default;
+};
+
+template <typename A>
+void serde(A& a, Cause& c) {
+  a.enumerated(c.group, 4);
+  a.u8(c.value);
+}
+
+/// (RANfunctionID, Cause) item of the setup and service-update replies.
+inline constexpr auto ran_function_cause_ie = [](auto& a, auto& item) {
+  ran_function_id_ie(a, item.first);
+  a.field(item.second);
 };
 
 /// Identifies one subscription/control transaction of one requestor (xApp or
@@ -91,6 +127,12 @@ struct RicRequestId {
   auto operator<=>(const RicRequestId&) const = default;
 };
 
+template <typename A>
+void serde(A& a, RicRequestId& id) {
+  a.u16(id.requestor);
+  a.u16(id.instance);
+}
+
 /// Subscription action kind (E2SM services; see Appendix A of the paper).
 enum class ActionType : std::uint8_t { report = 0, insert, policy };
 
@@ -101,6 +143,13 @@ struct Action {
   bool operator==(const Action&) const = default;
   auto operator<=>(const Action&) const = default;
 };
+
+template <typename A>
+void serde(A& a, Action& x) {
+  a.u8(x.id);
+  a.enumerated(x.type, 3);
+  a.bytes(x.definition);
+}
 
 // ---------------------------------------------------------------------------
 // Global procedures
@@ -114,6 +163,13 @@ struct SetupRequest {
   bool operator==(const SetupRequest&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SetupRequest& m) {
+  a.u8(m.trans_id);
+  a.field(m.node);
+  a.vec(m.ran_functions);
+}
+
 struct SetupResponse {
   static constexpr MsgType kType = MsgType::setup_response;
   std::uint8_t trans_id = 0;
@@ -123,12 +179,26 @@ struct SetupResponse {
   bool operator==(const SetupResponse&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SetupResponse& m) {
+  a.u8(m.trans_id);
+  a.ranged(m.ric_id, 0xFFFFF);
+  a.vec(m.accepted, ran_function_id_ie);
+  a.vec(m.rejected, ran_function_cause_ie);
+}
+
 struct SetupFailure {
   static constexpr MsgType kType = MsgType::setup_failure;
   std::uint8_t trans_id = 0;
   Cause cause;
   bool operator==(const SetupFailure&) const = default;
 };
+
+template <typename A>
+void serde(A& a, SetupFailure& m) {
+  a.u8(m.trans_id);
+  a.field(m.cause);
+}
 
 struct ResetRequest {
   static constexpr MsgType kType = MsgType::reset_request;
@@ -137,11 +207,22 @@ struct ResetRequest {
   bool operator==(const ResetRequest&) const = default;
 };
 
+template <typename A>
+void serde(A& a, ResetRequest& m) {
+  a.u8(m.trans_id);
+  a.field(m.cause);
+}
+
 struct ResetResponse {
   static constexpr MsgType kType = MsgType::reset_response;
   std::uint8_t trans_id = 0;
   bool operator==(const ResetResponse&) const = default;
 };
+
+template <typename A>
+void serde(A& a, ResetResponse& m) {
+  a.u8(m.trans_id);
+}
 
 struct ErrorIndication {
   static constexpr MsgType kType = MsgType::error_indication;
@@ -150,6 +231,14 @@ struct ErrorIndication {
   Cause cause;
   bool operator==(const ErrorIndication&) const = default;
 };
+
+template <typename A>
+void serde(A& a, ErrorIndication& m) {
+  a.presence(m.request, m.ran_function_id);
+  a.optional(m.request);
+  a.optional(m.ran_function_id, ran_function_id_ie);
+  a.field(m.cause);
+}
 
 /// RAN function add/modify/remove after setup (RIC Service Update).
 struct ServiceUpdate {
@@ -161,6 +250,14 @@ struct ServiceUpdate {
   bool operator==(const ServiceUpdate&) const = default;
 };
 
+template <typename A>
+void serde(A& a, ServiceUpdate& m) {
+  a.u8(m.trans_id);
+  a.vec(m.added);
+  a.vec(m.modified);
+  a.vec(m.removed, ran_function_id_ie);
+}
+
 struct ServiceUpdateAck {
   static constexpr MsgType kType = MsgType::service_update_ack;
   std::uint8_t trans_id = 0;
@@ -169,12 +266,25 @@ struct ServiceUpdateAck {
   bool operator==(const ServiceUpdateAck&) const = default;
 };
 
+template <typename A>
+void serde(A& a, ServiceUpdateAck& m) {
+  a.u8(m.trans_id);
+  a.vec(m.accepted, ran_function_id_ie);
+  a.vec(m.rejected, ran_function_cause_ie);
+}
+
 struct ServiceUpdateFailure {
   static constexpr MsgType kType = MsgType::service_update_failure;
   std::uint8_t trans_id = 0;
   Cause cause;
   bool operator==(const ServiceUpdateFailure&) const = default;
 };
+
+template <typename A>
+void serde(A& a, ServiceUpdateFailure& m) {
+  a.u8(m.trans_id);
+  a.field(m.cause);
+}
 
 /// E2 node configuration update (simplified: opaque component configs).
 struct NodeConfigUpdate {
@@ -184,12 +294,24 @@ struct NodeConfigUpdate {
   bool operator==(const NodeConfigUpdate&) const = default;
 };
 
+template <typename A>
+void serde(A& a, NodeConfigUpdate& m) {
+  a.u8(m.trans_id);
+  a.vec(m.components);
+}
+
 struct NodeConfigUpdateAck {
   static constexpr MsgType kType = MsgType::node_config_update_ack;
   std::uint8_t trans_id = 0;
   std::vector<std::string> accepted_components;
   bool operator==(const NodeConfigUpdateAck&) const = default;
 };
+
+template <typename A>
+void serde(A& a, NodeConfigUpdateAck& m) {
+  a.u8(m.trans_id);
+  a.vec(m.accepted_components);
+}
 
 // ---------------------------------------------------------------------------
 // Functional procedures
@@ -204,6 +326,14 @@ struct SubscriptionRequest {
   bool operator==(const SubscriptionRequest&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SubscriptionRequest& m) {
+  a.field(m.request);
+  ran_function_id_ie(a, m.ran_function_id);
+  a.bytes(m.event_trigger);
+  a.vec(m.actions);
+}
+
 struct SubscriptionResponse {
   static constexpr MsgType kType = MsgType::subscription_response;
   RicRequestId request;
@@ -213,6 +343,14 @@ struct SubscriptionResponse {
   bool operator==(const SubscriptionResponse&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SubscriptionResponse& m) {
+  a.field(m.request);
+  ran_function_id_ie(a, m.ran_function_id);
+  a.vec(m.admitted);
+  a.vec(m.not_admitted);
+}
+
 struct SubscriptionFailure {
   static constexpr MsgType kType = MsgType::subscription_failure;
   RicRequestId request;
@@ -221,12 +359,25 @@ struct SubscriptionFailure {
   bool operator==(const SubscriptionFailure&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SubscriptionFailure& m) {
+  a.field(m.request);
+  ran_function_id_ie(a, m.ran_function_id);
+  a.field(m.cause);
+}
+
 struct SubscriptionDeleteRequest {
   static constexpr MsgType kType = MsgType::subscription_delete_request;
   RicRequestId request;
   std::uint16_t ran_function_id = 0;
   bool operator==(const SubscriptionDeleteRequest&) const = default;
 };
+
+template <typename A>
+void serde(A& a, SubscriptionDeleteRequest& m) {
+  a.field(m.request);
+  ran_function_id_ie(a, m.ran_function_id);
+}
 
 struct SubscriptionDeleteResponse {
   static constexpr MsgType kType = MsgType::subscription_delete_response;
@@ -235,6 +386,12 @@ struct SubscriptionDeleteResponse {
   bool operator==(const SubscriptionDeleteResponse&) const = default;
 };
 
+template <typename A>
+void serde(A& a, SubscriptionDeleteResponse& m) {
+  a.field(m.request);
+  ran_function_id_ie(a, m.ran_function_id);
+}
+
 struct SubscriptionDeleteFailure {
   static constexpr MsgType kType = MsgType::subscription_delete_failure;
   RicRequestId request;
@@ -242,6 +399,13 @@ struct SubscriptionDeleteFailure {
   Cause cause;
   bool operator==(const SubscriptionDeleteFailure&) const = default;
 };
+
+template <typename A>
+void serde(A& a, SubscriptionDeleteFailure& m) {
+  a.field(m.request);
+  ran_function_id_ie(a, m.ran_function_id);
+  a.field(m.cause);
+}
 
 /// RIC Indication: RAN function -> RIC. Carries the (already SM-encoded)
 /// indication header + message — the "inner" encoding of E2's double
@@ -259,6 +423,19 @@ struct Indication {
   bool operator==(const Indication&) const = default;
 };
 
+template <typename A>
+void serde(A& a, Indication& m) {
+  a.field(m.request);
+  ran_function_id_ie(a, m.ran_function_id);
+  a.u8(m.action_id);
+  a.u32(m.sn);
+  a.enumerated(m.type, 3);
+  a.presence(m.call_process_id);
+  a.bytes(m.header);
+  a.bytes(m.message);
+  a.optional(m.call_process_id);
+}
+
 /// RIC Control: RIC -> RAN function.
 struct ControlRequest {
   static constexpr MsgType kType = MsgType::control_request;
@@ -271,6 +448,17 @@ struct ControlRequest {
   bool operator==(const ControlRequest&) const = default;
 };
 
+template <typename A>
+void serde(A& a, ControlRequest& m) {
+  a.field(m.request);
+  ran_function_id_ie(a, m.ran_function_id);
+  a.boolean(m.ack_requested);
+  a.presence(m.call_process_id);
+  a.bytes(m.header);
+  a.bytes(m.message);
+  a.optional(m.call_process_id);
+}
+
 struct ControlAck {
   static constexpr MsgType kType = MsgType::control_ack;
   RicRequestId request;
@@ -278,6 +466,13 @@ struct ControlAck {
   Buffer outcome;
   bool operator==(const ControlAck&) const = default;
 };
+
+template <typename A>
+void serde(A& a, ControlAck& m) {
+  a.field(m.request);
+  ran_function_id_ie(a, m.ran_function_id);
+  a.bytes(m.outcome);
+}
 
 struct ControlFailure {
   static constexpr MsgType kType = MsgType::control_failure;
@@ -288,6 +483,14 @@ struct ControlFailure {
   bool operator==(const ControlFailure&) const = default;
 };
 
+template <typename A>
+void serde(A& a, ControlFailure& m) {
+  a.field(m.request);
+  ran_function_id_ie(a, m.ran_function_id);
+  a.field(m.cause);
+  a.bytes(m.outcome);
+}
+
 /// The E2AP IR: exactly one procedure message.
 using Msg = std::variant<
     SetupRequest, SetupResponse, SetupFailure, ResetRequest, ResetResponse,
@@ -297,7 +500,10 @@ using Msg = std::variant<
     SubscriptionDeleteResponse, SubscriptionDeleteFailure, Indication,
     ControlRequest, ControlAck, ControlFailure>;
 
-/// Runtime type tag of an IR message.
-MsgType msg_type(const Msg& m) noexcept;
+/// Runtime type tag of an IR message: alternative I of Msg has kType == I
+/// (static_asserted by the codec's decode table).
+inline MsgType msg_type(const Msg& m) noexcept {
+  return static_cast<MsgType>(m.index());
+}
 
 }  // namespace flexric::e2ap

@@ -8,10 +8,11 @@
 #include <cstdint>
 #include <string>
 
+#include "codec/serde.hpp"
 #include "codec/wire.hpp"
 #include "common/buffer.hpp"
+#include "common/result.hpp"
 #include "e2ap/messages.hpp"
-#include "e2sm/serde.hpp"
 
 namespace flexric::e2sm {
 
@@ -28,6 +29,32 @@ template <typename A>
 void serde(A& a, EventTrigger& t) {
   a.enum8(t.kind);
   a.u32(t.period_ms);
+}
+
+/// Encode an SM message in the given wire format. SM payloads count their
+/// FLAT list elements with a uvarint.
+template <typename T>
+Buffer sm_encode(const T& msg, WireFormat f) {
+  switch (f) {
+    case WireFormat::per: return archive_encode<PerEnc>(msg);
+    case WireFormat::flat:
+      return archive_encode<FlatEnc<ListCount::uvarint>>(msg);
+    case WireFormat::proto: return archive_encode<ProtoEnc>(msg);
+  }
+  return {};
+}
+
+/// Decode an SM message. Returns malformed/truncated errors for bad wire
+/// data; never UB.
+template <typename T>
+Result<T> sm_decode(BytesView wire, WireFormat f) {
+  switch (f) {
+    case WireFormat::per: return archive_decode<PerDec, T>(wire);
+    case WireFormat::flat:
+      return archive_decode<FlatDec<ListCount::uvarint>, T>(wire);
+    case WireFormat::proto: return archive_decode<ProtoDec, T>(wire);
+  }
+  return Error{Errc::unsupported, "unknown wire format"};
 }
 
 /// Build the E2AP RanFunctionItem advertising an SM. The definition blob

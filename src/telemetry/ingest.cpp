@@ -1,6 +1,6 @@
 #include "telemetry/ingest.hpp"
 
-#include "e2sm/serde.hpp"
+#include "e2sm/common.hpp"
 
 namespace flexric::telemetry {
 

@@ -302,6 +302,50 @@ TEST_P(SmFormats, LargeIndicationsRoundTrip) {
   expect_roundtrip(sample_mac(32));
 }
 
+// A forged list count must be rejected by the archives' count guard before
+// it sizes a vector: the PER length determinant BF FF claims 16383 UEs in a
+// two-byte payload (it used to reserve ~900 kB before failing), and the
+// FLAT, RAW and PROTO counts claim 127 UEs where one fits.
+TEST(SmDecode, ForgedListCountRejectedByGuard) {
+  auto expect_guard = [](const auto& res, const char* what) {
+    ASSERT_FALSE(res.is_ok()) << what;
+    EXPECT_NE(res.error().message.find("count exceeds payload"),
+              std::string::npos)
+        << what << ": " << res.error().message;
+  };
+  mac::IndicationMsg one;
+  one.ues.push_back(mac::UeStats{});
+
+  const Buffer per{0xBF, 0xFF};
+  expect_guard(sm_decode<mac::IndicationMsg>(per, WireFormat::per), "PER");
+
+  // FLAT: [u32 fixed size][u32 offset, u32 len][uvarint count, UE ...].
+  Buffer flat = sm_encode(one, WireFormat::flat);
+  ASSERT_EQ(flat[12], 1);
+  flat[12] = 0x7F;
+  expect_guard(sm_decode<mac::IndicationMsg>(flat, WireFormat::flat), "FLAT");
+
+  // RAW: the layout inside a FLAT var region.
+  BufWriter raw;
+  raw.uvarint(127);
+  raw.bytes(BytesView(flat).subspan(13));
+  RawDec<ListCount::uvarint> dec(raw.view());
+  mac::IndicationMsg out;
+  dec.field(out);
+  ASSERT_FALSE(dec.ok());
+  EXPECT_NE(dec.status().error().message.find("count exceeds payload"),
+            std::string::npos)
+      << "RAW: " << dec.status().error().message;
+
+  // PROTO: the count is field 1 (tag 0x0A, length 1, count).
+  Buffer proto = sm_encode(one, WireFormat::proto);
+  ASSERT_EQ(proto[0], 0x0A);
+  ASSERT_EQ(proto[2], 1);
+  proto[2] = 0x7F;
+  expect_guard(sm_decode<mac::IndicationMsg>(proto, WireFormat::proto),
+               "PROTO");
+}
+
 TEST(SmSizes, FormatOrderingForStatsPayloads) {
   // PER most compact; FLAT largest; PROTO in between — the size relation
   // behind Fig. 7b.

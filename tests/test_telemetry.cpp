@@ -15,7 +15,7 @@
 #include "ctrl/monitor.hpp"
 #include "ctrl/rest.hpp"
 #include "ctrl/telemetry_rest.hpp"
-#include "e2sm/serde.hpp"
+#include "e2sm/common.hpp"
 #include "helpers.hpp"
 #include "ran/functions.hpp"
 #include "telemetry/ingest.hpp"
