@@ -82,6 +82,7 @@ struct StormResult {
   std::uint64_t rate_shed = 0;
   std::uint64_t flood_shed = 0;
   std::uint64_t queue_shed = 0;
+  std::uint64_t server_shed = 0;  ///< ShardLedger::server_shed(): indications
   std::uint64_t agent_shed = 0;
   std::uint64_t quarantines = 0;
   Nanos ctrl_p50 = 0;
@@ -176,11 +177,13 @@ StormResult run_storm(int mult) {
   const Nanos cpu1 = thread_cpu_now();
 
   const server::E2Server::Stats& st = ric.stats();
+  const ShardLedger ledger = ric.ledger();
   r.emitted = flooder.fn->emitted + victim.fn->emitted;
   r.delivered = flooder.delivered + victim.delivered;
   r.rate_shed = st.rate_shed;
   r.flood_shed = st.flood_shed;
   r.queue_shed = st.queue_shed;
+  r.server_shed = ledger.server_shed();
   r.agent_shed = flooder.agent->stats().indications_shed +
                  victim.agent->stats().indications_shed;
   r.quarantines = st.flood_quarantines;
@@ -190,8 +193,8 @@ StormResult run_storm(int mult) {
     r.ctrl_p99 = latencies[(latencies.size() - 1) * 99 / 100];
   }
   r.cpu_percent = cpu_percent(cpu1 - cpu0, 800 * kMilli);
-  FLEXRIC_ASSERT(r.emitted == r.delivered + r.agent_shed + r.rate_shed +
-                                  r.flood_shed + r.queue_shed,
+  FLEXRIC_ASSERT(ledger.reconciles() &&
+                     r.emitted == r.delivered + r.agent_shed + r.server_shed,
                  "bench: shed ledger does not reconcile");
   return r;
 }
@@ -214,11 +217,10 @@ int main(int argc, char** argv) {
   for (int mult : {1, 4, 16, 64}) {
     StormResult r = run_storm(mult);
     const double shed_pct =
-        r.emitted > 0 ? 100.0 *
-                            static_cast<double>(r.rate_shed + r.flood_shed +
-                                                r.queue_shed + r.agent_shed) /
-                            static_cast<double>(r.emitted)
-                      : 0.0;
+        r.emitted > 0
+            ? 100.0 * static_cast<double>(r.server_shed + r.agent_shed) /
+                  static_cast<double>(r.emitted)
+            : 0.0;
     table.row("mult=" + std::to_string(mult) + "x",
               {std::to_string(r.emitted), std::to_string(r.delivered),
                fmt("%.1f", shed_pct),
@@ -239,7 +241,7 @@ int main(int argc, char** argv) {
       std::printf("  WARNING: mult=%d saw %llu control failures\n", mult,
                   static_cast<unsigned long long>(r.ctrl_failures));
   }
-  note("shed% is server rate/queue sheds + agent-side sheds over emitted;");
+  note("shed% is server-side indication + agent-side sheds over emitted;");
   note("the ledger reconciles exactly: emitted == delivered + all sheds");
 
   return json.write(json_path_from_args(argc, argv)) ? 0 : 1;

@@ -11,6 +11,12 @@
 # drivers (fuzz/), the telemetry store suite (test_telemetry — built into
 # both legs via flexric_telemetry), and the repo lint gate (tools/lint.py).
 #
+# The default run also builds the paced E2 benchmark (e2bench/, which
+# compiles the FlexRIC libraries straight from src/) against this tree and
+# runs its self-test (`python3 e2bench/run.py selftest`), so a src/ API
+# change that breaks the benchmark fails CI instead of the next benchmark
+# run.
+#
 # Every leg also runs the static-analysis gates: tools/analyze (the
 # reactor-affinity & lambda-lifetime analyzer, CTest targets `analyze` and
 # `analyze_fixtures`) builds and runs in each configuration; the asan-ubsan
@@ -155,6 +161,16 @@ run_analyze_lane() {
   "$bin" --self "$root/tools/analyze"
 }
 
+run_bench_lane() {
+  # Same build tree and type as e2bench/run.py, so selftest reuses it.
+  bench_dir="$root/.bench_build/e2bench"
+  echo "==== [bench] build e2bench against this src/ ===="
+  cmake -S "$root/e2bench" -B "$bench_dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build "$bench_dir" -j "$jobs" --target e2bench
+  echo "==== [bench] e2bench selftest ===="
+  python3 "$root/e2bench/run.py" selftest
+}
+
 run_shard_lane() {
   build_dir=$1
   echo "==== [shard] tsan build ===="
@@ -223,6 +239,7 @@ run_leg plain "$root/build" \
 # produced the binary, so this adds seconds, and a finding fails CI even when
 # nobody remembered to pass --analyze.
 run_analyze_lane "$root/build"
+run_bench_lane
 run_leg asan-ubsan "$root/build-asan" \
   -DFLEXRIC_SANITIZE="address;undefined"
 

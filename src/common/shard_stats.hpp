@@ -2,24 +2,21 @@
 //
 // Each shard owns one 64-byte-aligned slot of atomics and is the only
 // writer of that slot; any thread may read and sum. A per-slot seqlock
-// keeps the 13-field ledger image untorn across fields (the write side is
-// wait-free, the read side retries only while a publish is in flight). This
-// is the merge-on-query half of the sharded stats story: shards publish their
+// keeps the ledger image untorn across fields (the write side is wait-free,
+// the read side retries only while a publish is in flight). This is the
+// merge-on-query half of the sharded stats story: shards publish their
 // E2Server ledger into their slot from their own reactor thread (a timer in
 // ShardedE2Server), and a northbound query sums the slots — no lock, no
 // shared hot-path state, no cross-shard cache-line ping-pong (each slot is
-// alone on its line).
+// alone on its lines).
 //
-// The slot layout mirrors the overload ledger of DESIGN.md §11 so the exact
-// reconciliation invariant survives sharding:
+// The ledger is declared once: its members plus ShardLedger::kFields.
+// Merge, slot layout, seqlock publish/read and the /metrics export iterate
+// the table. Its two equations live in shard_stats.cpp; server_shed() is
+// the server term of the exact invariant (a shed always has a counted
+// reason, same rule as BoundedQueue):
 //
 //   sum(emitted) == sum(delivered) + sum(agent_shed) + sum(server_shed)
-//
-// where server_shed = rate_shed + flood_shed + queue_shed + fanout_shed
-// + orphan_indications (fanout_shed counts cross-shard indication-ring
-// overflow, orphan_indications counts indications with no matching
-// subscription — a bounded ring or a restarted shard sheds with a counted
-// reason, never silently, same rule as BoundedQueue).
 //
 // Sanctioned use of <atomic> outside src/transport/ (tools/lint.py
 // THREAD_OK_FILES): publishing counters across shard threads is impossible
@@ -28,10 +25,20 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 
 namespace flexric {
+
+/// One named counter of an all-`uint64_t` stats struct, for the tables that
+/// a generic consumer (merge, counter board, /metrics export) iterates.
+template <typename S>
+struct CounterField {
+  const char* name;
+  std::uint64_t S::*member;
+};
 
 /// Plain (non-atomic) image of one slot / of the summed board.
 struct ShardLedger {
@@ -40,40 +47,46 @@ struct ShardLedger {
   std::uint64_t indications_rx = 0;
   std::uint64_t rate_shed = 0;
   std::uint64_t flood_shed = 0;
-  std::uint64_t queue_shed = 0;
+  std::uint64_t queue_shed = 0;      ///< ingest-queue sheds, both classes
+  std::uint64_t data_queue_shed = 0; ///< the DATA (indication) share of it
   std::uint64_t queued = 0;          ///< admitted, not yet dispatched
   std::uint64_t agent_reported_sheds = 0;
   std::uint64_t fanout_shed = 0;     ///< cross-shard indication ring overflow
   std::uint64_t reply_shed = 0;      ///< northbound reply ring overflow
   std::uint64_t dir_events_lost = 0; ///< directory event ring overflow (triggers resync)
   std::uint64_t orphan_indications = 0;  ///< no matching subscription (counted drop)
-  std::uint64_t frames = 0;          ///< frames dispatched (throughput axis)
-  std::uint64_t cpu_ns = 0;          ///< shard-thread CPU burned (bench)
 
-  [[nodiscard]] std::uint64_t server_shed() const noexcept {
-    return rate_shed + flood_shed + queue_shed + fanout_shed +
-           orphan_indications;
-  }
+  static constexpr CounterField<ShardLedger> kFields[] = {
+      {"msgs_rx", &ShardLedger::msgs_rx},
+      {"dispatched", &ShardLedger::dispatched},
+      {"indications_rx", &ShardLedger::indications_rx},
+      {"rate_shed", &ShardLedger::rate_shed},
+      {"flood_shed", &ShardLedger::flood_shed},
+      {"queue_shed", &ShardLedger::queue_shed},
+      {"data_queue_shed", &ShardLedger::data_queue_shed},
+      {"queued", &ShardLedger::queued},
+      {"agent_reported_sheds", &ShardLedger::agent_reported_sheds},
+      {"fanout_shed", &ShardLedger::fanout_shed},
+      {"reply_shed", &ShardLedger::reply_shed},
+      {"dir_events_lost", &ShardLedger::dir_events_lost},
+      {"orphan_indications", &ShardLedger::orphan_indications},
+  };
+  static constexpr std::size_t kNumFields = std::size(kFields);
+
+  /// Indications (never control frames) shed server-side with a reason.
+  [[nodiscard]] std::uint64_t server_shed() const noexcept;
+  /// Per-server admission check: every message received is accounted for.
+  [[nodiscard]] bool reconciles() const noexcept;
 
   /// Field-wise accumulate — the merge-on-query sum, and how the ledger of
   /// a torn-down shard incarnation folds into its retired total (§15).
   void add(const ShardLedger& v) noexcept {
-    msgs_rx += v.msgs_rx;
-    dispatched += v.dispatched;
-    indications_rx += v.indications_rx;
-    rate_shed += v.rate_shed;
-    flood_shed += v.flood_shed;
-    queue_shed += v.queue_shed;
-    queued += v.queued;
-    agent_reported_sheds += v.agent_reported_sheds;
-    fanout_shed += v.fanout_shed;
-    reply_shed += v.reply_shed;
-    dir_events_lost += v.dir_events_lost;
-    orphan_indications += v.orphan_indications;
-    frames += v.frames;
-    cpu_ns += v.cpu_ns;
+    for (const auto& f : kFields) this->*f.member += v.*f.member;
   }
 };
+static_assert(sizeof(ShardLedger) ==
+                  ShardLedger::kNumFields * sizeof(std::uint64_t),
+              "every ShardLedger member needs an entry in kFields");
 
 /// Cache-aligned per-shard liveness board (DESIGN.md §15).
 ///
@@ -97,9 +110,7 @@ class ShardHealthBoard {
   };
 
   explicit ShardHealthBoard(std::uint32_t shards)
-      : shards_(shards), slots_(std::make_unique<Slot[]>(shards)) {}
-
-  [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
+      : slots_(std::make_unique<Slot[]>(shards)) {}
 
   /// Shard-side: one heartbeat. Wait-free, two stores, no rmw.
   void beat(std::uint32_t shard, std::int64_t now_ns) noexcept {
@@ -132,13 +143,12 @@ class ShardHealthBoard {
     std::atomic<std::int64_t> progress_ns{0};
   };
 
-  std::uint32_t shards_;
   std::unique_ptr<Slot[]> slots_;
 };
 
 class ShardCounterBoard {
  public:
-  /// One cache line per shard; the shard index is the only writer key.
+  /// One shard's cache lines; the shard index is the only writer key.
   struct alignas(64) Slot {
     /// Seqlock sequence: odd while the owning shard is mid-publish. Readers
     /// retry until they observe the same even value before and after the
@@ -148,26 +158,12 @@ class ShardCounterBoard {
     /// epoch is dropped, so a force-restarted shard's leaked corpse loop
     /// cannot scribble over the replacement's slot if it ever un-wedges.
     std::atomic<std::uint64_t> epoch{0};
-    std::atomic<std::uint64_t> msgs_rx{0};
-    std::atomic<std::uint64_t> dispatched{0};
-    std::atomic<std::uint64_t> indications_rx{0};
-    std::atomic<std::uint64_t> rate_shed{0};
-    std::atomic<std::uint64_t> flood_shed{0};
-    std::atomic<std::uint64_t> queue_shed{0};
-    std::atomic<std::uint64_t> queued{0};
-    std::atomic<std::uint64_t> agent_reported_sheds{0};
-    std::atomic<std::uint64_t> fanout_shed{0};
-    std::atomic<std::uint64_t> reply_shed{0};
-    std::atomic<std::uint64_t> dir_events_lost{0};
-    std::atomic<std::uint64_t> orphan_indications{0};
-    std::atomic<std::uint64_t> frames{0};
-    std::atomic<std::uint64_t> cpu_ns{0};
+    /// The ledger image, one atomic per ShardLedger::kFields entry.
+    std::atomic<std::uint64_t> v[ShardLedger::kNumFields]{};
   };
 
   explicit ShardCounterBoard(std::uint32_t shards)
       : shards_(shards), slots_(std::make_unique<Slot[]>(shards)) {}
-
-  [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
 
   /// The writing shard publishes a full ledger image under a seqlock
   /// (Boehm-style): bump the sequence odd, release-fence, store the fields
@@ -191,22 +187,9 @@ class ShardCounterBoard {
     const std::uint64_t s0 = s.seq.load(std::memory_order_relaxed);
     s.seq.store(s0 + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
-    s.msgs_rx.store(v.msgs_rx, std::memory_order_relaxed);
-    s.dispatched.store(v.dispatched, std::memory_order_relaxed);
-    s.indications_rx.store(v.indications_rx, std::memory_order_relaxed);
-    s.rate_shed.store(v.rate_shed, std::memory_order_relaxed);
-    s.flood_shed.store(v.flood_shed, std::memory_order_relaxed);
-    s.queue_shed.store(v.queue_shed, std::memory_order_relaxed);
-    s.queued.store(v.queued, std::memory_order_relaxed);
-    s.agent_reported_sheds.store(v.agent_reported_sheds,
-                                 std::memory_order_relaxed);
-    s.fanout_shed.store(v.fanout_shed, std::memory_order_relaxed);
-    s.reply_shed.store(v.reply_shed, std::memory_order_relaxed);
-    s.dir_events_lost.store(v.dir_events_lost, std::memory_order_relaxed);
-    s.orphan_indications.store(v.orphan_indications,
-                               std::memory_order_relaxed);
-    s.frames.store(v.frames, std::memory_order_relaxed);
-    s.cpu_ns.store(v.cpu_ns, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < ShardLedger::kNumFields; ++i)
+      s.v[i].store(v.*ShardLedger::kFields[i].member,
+                   std::memory_order_relaxed);
     s.seq.store(s0 + 2, std::memory_order_release);
   }
 
@@ -218,22 +201,9 @@ class ShardCounterBoard {
     for (;;) {
       const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
       if (s1 & 1) continue;
-      v.msgs_rx = s.msgs_rx.load(std::memory_order_relaxed);
-      v.dispatched = s.dispatched.load(std::memory_order_relaxed);
-      v.indications_rx = s.indications_rx.load(std::memory_order_relaxed);
-      v.rate_shed = s.rate_shed.load(std::memory_order_relaxed);
-      v.flood_shed = s.flood_shed.load(std::memory_order_relaxed);
-      v.queue_shed = s.queue_shed.load(std::memory_order_relaxed);
-      v.queued = s.queued.load(std::memory_order_relaxed);
-      v.agent_reported_sheds =
-          s.agent_reported_sheds.load(std::memory_order_relaxed);
-      v.fanout_shed = s.fanout_shed.load(std::memory_order_relaxed);
-      v.reply_shed = s.reply_shed.load(std::memory_order_relaxed);
-      v.dir_events_lost = s.dir_events_lost.load(std::memory_order_relaxed);
-      v.orphan_indications =
-          s.orphan_indications.load(std::memory_order_relaxed);
-      v.frames = s.frames.load(std::memory_order_relaxed);
-      v.cpu_ns = s.cpu_ns.load(std::memory_order_relaxed);
+      for (std::size_t i = 0; i < ShardLedger::kNumFields; ++i)
+        v.*ShardLedger::kFields[i].member =
+            s.v[i].load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) == s1) return v;
     }

@@ -320,6 +320,21 @@ void E2Server::replay_subscriptions(AgentId id) {
   }
 }
 
+ShardLedger E2Server::ledger() const noexcept {
+  ShardLedger v;
+  v.msgs_rx = stats_.msgs_rx;
+  v.dispatched = stats_.dispatched;
+  v.indications_rx = stats_.indications_rx;
+  v.rate_shed = stats_.rate_shed;
+  v.flood_shed = stats_.flood_shed;
+  v.queue_shed = stats_.queue_shed;
+  v.data_queue_shed = stats_.data_queue_shed;
+  v.queued = ingest_.size();
+  v.agent_reported_sheds = stats_.agent_reported_sheds;
+  v.orphan_indications = stats_.orphan_indications;
+  return v;
+}
+
 void E2Server::on_message(AgentId id, BytesView wire) {
   stats_.msgs_rx++;
   stats_.bytes_rx += wire.size();
@@ -358,11 +373,14 @@ void E2Server::on_message(AgentId id, BytesView wire) {
   // Delta accounting, not the push() result: under drop_oldest / fair the
   // newcomer is admitted by evicting an already-queued frame, and that
   // eviction must land in queue_shed too or msgs_rx stops reconciling.
+  // A push sheds only from its own class: attribute the delta to its lane.
   const std::uint64_t shed_before = ingest_.shed();
   (void)ingest_.push(is_data ? overload::MsgClass::data
                              : overload::MsgClass::control,
                      id, Buffer(wire.begin(), wire.end()));
-  stats_.queue_shed += ingest_.shed() - shed_before;
+  const std::uint64_t shed = ingest_.shed() - shed_before;
+  stats_.queue_shed += shed;
+  if (is_data) stats_.data_queue_shed += shed;
   schedule_drain();
 }
 

@@ -19,6 +19,7 @@
 
 #include "codec/wire.hpp"
 #include "common/overload.hpp"
+#include "common/shard_stats.hpp"
 #include "e2ap/codec.hpp"
 #include "server/ran_db.hpp"
 #include "transport/resilience.hpp"
@@ -193,14 +194,13 @@ class E2Server {
     std::uint64_t quarantines = 0;
     std::uint64_t expiries = 0;
     std::uint64_t ctrls_failed_on_loss = 0;
-    // -- overload accounting (DESIGN.md §11). Exact-reconciliation
-    //    invariant, checked by the storm harness:
-    //      msgs_rx == dispatched + rate_shed + flood_shed + queue_shed
-    //                 + ingest_queued()
+    // -- overload accounting (DESIGN.md §11); ledger().reconciles() is the
+    //    exact admission invariant.
     std::uint64_t dispatched = 0;      ///< frames decoded+dispatched
     std::uint64_t rate_shed = 0;       ///< DATA shed by the rate limiter
     std::uint64_t flood_shed = 0;      ///< DATA dropped while flood-quarantined
     std::uint64_t queue_shed = 0;      ///< shed by the bounded ingest queue
+    std::uint64_t data_queue_shed = 0; ///< the DATA (indication) share of it
     std::uint64_t flood_quarantines = 0;
     std::uint64_t flood_recoveries = 0;
     std::uint64_t ctrls_deadline_expired = 0;
@@ -216,11 +216,10 @@ class E2Server {
     std::uint64_t orphan_indications = 0;
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// The shed/admission counters plus the ingest-queue depth as a shard
+  /// ledger (DESIGN.md §13); a sharded relay adds its ring counters.
+  [[nodiscard]] ShardLedger ledger() const noexcept;
 
-  /// Frames admitted but not yet dispatched (overload mode only).
-  [[nodiscard]] std::size_t ingest_queued() const noexcept {
-    return ingest_.size();
-  }
   /// Per-class ingest queue accounting (overload mode only).
   [[nodiscard]] const overload::PriorityQueue<Buffer>& ingest_queue()
       const noexcept {

@@ -80,21 +80,10 @@ class ShardedE2Server::Relay final : public IApp {
   /// the home thread may call it during a manual-mode rebuild harvest (the
   /// corpse loop is provably not running — one thread owns every domain).
   [[nodiscard]] ShardLedger collect() const {
-    const E2Server::Stats& st = server_->stats();
-    ShardLedger v;
-    v.msgs_rx = st.msgs_rx;
-    v.dispatched = st.dispatched;
-    v.indications_rx = st.indications_rx;
-    v.rate_shed = st.rate_shed;
-    v.flood_shed = st.flood_shed;
-    v.queue_shed = st.queue_shed;
-    v.queued = server_->ingest_queued();
-    v.agent_reported_sheds = st.agent_reported_sheds;
+    ShardLedger v = server_->ledger();
     v.fanout_shed = fanout_shed_;
     v.reply_shed = reply_shed_;
     v.dir_events_lost = events_lost_;
-    v.orphan_indications = st.orphan_indications;
-    v.frames = st.dispatched;
     return v;
   }
 

@@ -105,7 +105,8 @@ void ShardSupervisor::poll(Nanos now) {
         } else if (fresh) {
           if (++st.fresh_polls >= cfg_.recover_hysteresis) {
             stats_.recoveries++;
-            stats_.mttr_last = now - st.quarantined_at;
+            stats_.mttr_last =
+                static_cast<std::uint64_t>(now - st.quarantined_at);
             transition(i, ShardHealth::healthy);
           }
         } else {

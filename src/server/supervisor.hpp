@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -62,11 +63,23 @@ class ShardSupervisor {
     std::uint64_t quarantines = 0;    ///< ->quarantined edges
     std::uint64_t restarts = 0;       ///< rebuilds performed
     std::uint64_t recoveries = 0;     ///< recovering->healthy edges
-    /// Last full quarantined->healthy recovery time (state-machine MTTR;
-    /// the bench additionally measures detection->first-redelivered-
+    /// Last full quarantined->healthy recovery time in ns (state-machine
+    /// MTTR; the bench additionally measures detection->first-redelivered-
     /// indication). 0 until a recovery completes.
-    Nanos mttr_last = 0;
+    std::uint64_t mttr_last = 0;
+
+    static constexpr CounterField<Stats> kFields[] = {  // for /metrics
+        {"polls", &Stats::polls},
+        {"degradations", &Stats::degradations},
+        {"quarantines", &Stats::quarantines},
+        {"restarts", &Stats::restarts},
+        {"recoveries", &Stats::recoveries},
+        {"mttr_last_ns", &Stats::mttr_last},
+    };
   };
+  static_assert(sizeof(Stats) ==
+                    std::size(Stats::kFields) * sizeof(std::uint64_t),
+                "every Stats member needs an entry in kFields");
 
   ShardSupervisor(ShardPool& pool, ShardedE2Server& server,
                   SupervisionConfig cfg);

@@ -36,9 +36,6 @@ constexpr MetricName kMetricNames[] = {
     {Metric::pdcp_tx_pdus, "pdcp_tx_pdus"},
     {Metric::pdcp_rx_pdus, "pdcp_rx_pdus"},
     {Metric::pdcp_discarded_sdus, "pdcp_discarded_sdus"},
-    {Metric::ov_ingest_shed, "ov_ingest_shed"},
-    {Metric::ov_agent_shed, "ov_agent_shed"},
-    {Metric::ov_flood_quarantines, "ov_flood_quarantines"},
 };
 
 Nanos bucket_start(Nanos t, Nanos width) noexcept {

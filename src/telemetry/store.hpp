@@ -63,11 +63,6 @@ enum class Metric : std::uint16_t {
   pdcp_tx_pdus,
   pdcp_rx_pdus,
   pdcp_discarded_sdus,
-  // Overload accounting (DESIGN.md §11): shed/quarantine counters recorded
-  // per agent so the controller's own degradation is queryable northbound.
-  ov_ingest_shed,        ///< server-side sheds (rate + flood + queue)
-  ov_agent_shed,         ///< agent-reported indication sheds
-  ov_flood_quarantines,  ///< flood-quarantine escalations
 };
 
 [[nodiscard]] const char* metric_name(Metric m) noexcept;

@@ -413,65 +413,43 @@ struct ShardWorld {
         << "subscription never reached the agent";
   }
 
-  /// Global exact-accounting check across every shard (DESIGN.md §11 ⊗ §13):
-  /// sum(emitted) == sum(delivered) + sum(agent_shed) + sum(server_shed).
-  void expect_global_reconciles() {
-    std::uint64_t emitted = 0, delivered = 0, agent_shed = 0;
-    for (const auto& n : nodes) {
-      if (n->shard != n->dialed) continue;  // misrouted: never subscribed
-      emitted += n->fn->emitted;
-      delivered += static_cast<std::uint64_t>(n->indications);
-      agent_shed += n->agent->stats().indications_shed + n->fn->refused;
-    }
-    std::uint64_t server_shed = 0;
-    for (std::uint32_t i = 0; i < pool.size(); ++i) {
-      const auto& st = ric.shard_server(i).stats();
-      server_shed += st.rate_shed + st.flood_shed +
-                     ric.shard_server(i)
-                         .ingest_queue()
-                         .queue(overload::MsgClass::data)
-                         .stats()
-                         .shed();
-      EXPECT_EQ(st.msgs_rx, st.dispatched + st.rate_shed + st.flood_shed +
-                                st.queue_shed +
-                                ric.shard_server(i).ingest_queued())
-          << "shard " << i << " server ledger does not reconcile";
-    }
-    EXPECT_EQ(emitted, delivered + agent_shed + server_shed)
-        << "an indication vanished without a shed counter";
-  }
-
-  /// Global exact-accounting across a supervised world (§11 ⊗ §15): every
-  /// indication ever emitted is delivered (cross-shard fan-out at home),
-  /// still buffered agent-side, or shed with a counted reason — including
-  /// the sheds supervision itself caused:
+  /// Global exact accounting across every shard, live and retired (DESIGN.md
+  /// §11 ⊗ §13 ⊗ §15): every indication ever emitted is delivered (to a
+  /// harness subscription or through cross-shard fan-out at home), still
+  /// buffered agent-side, or shed with a counted reason — including the
+  /// sheds supervision itself caused:
   ///
   ///   Σemitted == Σdelivered + Σbuffered + Σagent_shed + Σserver_shed
   ///                          + Σsupervisor_shed
   ///
   /// where agent_shed includes sends synchronously refused by a dead link
-  /// (the producer was told: Errc::io during a crash window), server_shed
-  /// spans live AND retired incarnations (global_ledger folds the harvested
-  /// ledgers in), and supervisor_shed counts fan-out parked in a condemned
-  /// ring plus frames stranded in a dead ingest queue. Call at quiescence
-  /// (after settle()).
-  void expect_supervised_reconciles() {
-    std::uint64_t emitted = 0, agent_shed = 0, buffered = 0, refused = 0;
+  /// (the producer was told: Errc::io during a crash window), server_shed is
+  /// ShardLedger::server_shed() over the global ledger (live AND retired
+  /// incarnations), and supervisor_shed counts fan-out parked in a condemned
+  /// ring plus frames stranded in a dead ingest queue. Every live shard
+  /// server's own admission ledger must close too. Call at quiescence, once
+  /// the shards' publish timers have fired (advance() past publish_period).
+  void expect_reconciles() {
+    std::uint64_t emitted = 0, delivered = fanout_delivered, agent_shed = 0,
+                  buffered = 0;
     for (const auto& n : nodes) {
+      if (n->shard != n->dialed) continue;  // misrouted: never subscribed
       emitted += n->fn->emitted;
-      agent_shed += n->agent->stats().indications_shed;
-      refused += n->fn->refused;
+      delivered += static_cast<std::uint64_t>(n->indications);
+      agent_shed += n->agent->stats().indications_shed + n->fn->refused;
       if (const auto* q = n->agent->pending_indications(n->ctrl))
         buffered += q->size();
     }
+    for (std::uint32_t i = 0; i < pool.size(); ++i)
+      EXPECT_TRUE(ric.shard_server(i).ledger().reconciles())
+          << "shard " << i << " server ledger does not reconcile";
     const ShardLedger g = ric.global_ledger();
     EXPECT_EQ(g.queued, 0u) << "not quiescent: frames still queued";
-    EXPECT_EQ(emitted, fanout_delivered + buffered + agent_shed + refused +
-                           g.server_shed() + ric.supervisor_shed())
+    EXPECT_EQ(emitted, delivered + buffered + agent_shed + g.server_shed() +
+                           ric.supervisor_shed())
         << "an indication vanished without a shed counter (delivered="
-        << fanout_delivered << " buffered=" << buffered
-        << " agent_shed=" << agent_shed << " refused=" << refused
-        << " server_shed=" << g.server_shed()
+        << delivered << " buffered=" << buffered
+        << " agent_shed=" << agent_shed << " server_shed=" << g.server_shed()
         << " supervisor_shed=" << ric.supervisor_shed() << ")";
   }
 

@@ -414,9 +414,7 @@ struct StormWorld {
 /// The ledger that makes drops "visible": every message the server ever saw
 /// is dispatched, shed with a counted reason, or still queued.
 void expect_server_reconciles(StormWorld& w) {
-  const auto& st = w.server->stats();
-  EXPECT_EQ(st.msgs_rx, st.dispatched + st.rate_shed + st.flood_shed +
-                            st.queue_shed + w.server->ingest_queued());
+  EXPECT_TRUE(w.server->ledger().reconciles());
   EXPECT_TRUE(w.server->ingest_queue().reconciles());
 }
 
@@ -505,7 +503,7 @@ TEST(Storm, DisabledOverloadKeepsInlineDispatchBehavior) {
   const auto& st = w.server->stats();
   EXPECT_EQ(st.rate_shed + st.flood_shed + st.queue_shed, 0u);
   EXPECT_EQ(st.msgs_rx, st.dispatched);  // everything dispatched inline
-  EXPECT_EQ(w.server->ingest_queued(), 0u);
+  EXPECT_EQ(w.server->ledger().queued, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -686,25 +684,13 @@ telemetry::StoreConfig tiny_store(std::size_t n_series, bool evict) {
   return cfg;
 }
 
-TEST(StormTelemetry, OverloadMetricsHaveStableNorthboundNames) {
-  using telemetry::Metric;
-  for (Metric m : {Metric::ov_ingest_shed, Metric::ov_agent_shed,
-                   Metric::ov_flood_quarantines}) {
-    const char* name = telemetry::metric_name(m);
-    ASSERT_STRNE(name, "unknown");
-    auto back = telemetry::metric_from_name(name);
-    ASSERT_TRUE(back.is_ok());
-    EXPECT_EQ(*back, m);
-  }
-}
-
 TEST(StormTelemetry, ShedSeriesStormEvictsStaleAgentsUnderBudget) {
   telemetry::TelemetryStore store(tiny_store(3, /*evict=*/true));
   // A storm of shed reports from 30 agents against a 3-series budget: the
   // store must stay within budget by aging out stale agents, not by
   // rejecting the active ones.
   for (std::uint32_t a = 1; a <= 30; ++a) {
-    auto st = store.record({a, 0, telemetry::Metric::ov_ingest_shed},
+    auto st = store.record({a, 0, telemetry::Metric::rlc_dropped_sdus},
                            static_cast<Nanos>(a) * kMilli, 1.0);
     EXPECT_TRUE(st.is_ok());
     EXPECT_LE(store.memory_bytes(), store.memory_budget());
@@ -717,13 +703,13 @@ TEST(StormTelemetry, ShedSeriesStormEvictsStaleAgentsUnderBudget) {
 TEST(StormTelemetry, RejectingStoreShedsNewSeriesButKeepsRecoveredAgentFlowing) {
   telemetry::TelemetryStore store(tiny_store(2, /*evict=*/false));
   const telemetry::SeriesKey quarantined{7, 0,
-                                         telemetry::Metric::ov_ingest_shed};
+                                         telemetry::Metric::rlc_dropped_sdus};
   ASSERT_TRUE(store.record(quarantined, 0, 1.0).is_ok());
-  ASSERT_TRUE(store
-                  .record({8, 0, telemetry::Metric::ov_agent_shed}, 0, 1.0)
-                  .is_ok());
+  ASSERT_TRUE(
+      store.record({8, 0, telemetry::Metric::pdcp_discarded_sdus}, 0, 1.0)
+          .is_ok());
   // Budget full: a new series is rejected with Errc::capacity...
-  auto st = store.record({9, 0, telemetry::Metric::ov_ingest_shed}, 0, 1.0);
+  auto st = store.record({9, 0, telemetry::Metric::rlc_dropped_sdus}, 0, 1.0);
   ASSERT_FALSE(st.is_ok());
   EXPECT_EQ(st.code(), Errc::capacity);
   EXPECT_GE(store.dropped_samples(), 1u);
@@ -755,10 +741,9 @@ TEST(StormTelemetry, StormCountersRecordedPerAgentAreQueryable) {
     for (int k = 0; k < 20; ++k) n.fn->emit(n.ctrl);
     advance(w.reactor, w.clock, kMilli);
     if (ms % 10 == 9) {  // sample the shed ledger each virtual 10 ms
-      const auto& st = w.server->stats();
-      std::uint64_t shed = st.rate_shed + st.flood_shed + st.queue_shed;
+      const std::uint64_t shed = w.server->ledger().server_shed();
       ASSERT_TRUE(store
-                      .record({n.id, 0, telemetry::Metric::ov_ingest_shed},
+                      .record({n.id, 0, telemetry::Metric::rlc_dropped_sdus},
                               w.reactor.now(),
                               static_cast<double>(shed - last_shed))
                       .is_ok());
@@ -767,7 +752,7 @@ TEST(StormTelemetry, StormCountersRecordedPerAgentAreQueryable) {
   }
   // The final sample lands at exactly now(); the window end is exclusive.
   auto agg = store.window_aggregate(
-      {n.id, 0, telemetry::Metric::ov_ingest_shed}, 0,
+      {n.id, 0, telemetry::Metric::rlc_dropped_sdus}, 0,
       w.reactor.now() + kMilli, telemetry::QuerySource::raw);
   ASSERT_TRUE(agg.is_ok());
   EXPECT_EQ(agg->count, 10u);
@@ -833,14 +818,12 @@ std::string run_storm(std::uint64_t seed) {
   // Zero silent drops, end to end: every emitted indication is delivered,
   // agent-shed (and reported), or server-shed.
   const auto& st = w.server->stats();
-  const auto& dq = w.server->ingest_queue().queue(MsgClass::data).stats();
   const std::uint64_t emitted = flooder.fn->emitted + victim.fn->emitted;
   const std::uint64_t agent_shed = flooder.agent->stats().indications_shed +
                                    victim.agent->stats().indications_shed;
   const std::uint64_t delivered =
       static_cast<std::uint64_t>(flooder.indications + victim.indications);
-  EXPECT_EQ(emitted, delivered + agent_shed + st.rate_shed + st.flood_shed +
-                         dq.shed());
+  EXPECT_EQ(emitted, delivered + agent_shed + w.server->ledger().server_shed());
   EXPECT_EQ(st.agent_reported_sheds, agent_shed)
       << "every agent-side shed must be reported by the settle point";
 
@@ -927,7 +910,7 @@ std::string run_sharded_storm(std::uint64_t seed) {
   }
   // Global: sum(emitted) == sum(delivered) + sum(agent_shed)
   //                        + sum(server_shed), across every shard.
-  w.expect_global_reconciles();
+  w.expect_reconciles();
   // Shed reports arrived everywhere by the settle point.
   for (std::uint32_t s = 0; s < shards; ++s) {
     const std::uint64_t agent_shed =

@@ -237,35 +237,39 @@ TEST(SpscRingDeathTest, SecondProducerThreadAborts) {
 // ---------------------------------------------------------------------------
 
 // Regression for the torn-publish finding the atomics-order pass flagged:
-// the writer only ever publishes ledgers satisfying msgs_rx == dispatched ==
-// frames, so a racing reader observing anything else caught a torn image
-// (13 independent relaxed stores would tear; the seqlock must not).
+// the writer only ever publishes ledgers whose every field equals the round
+// number, so a racing reader observing any field — the first table entry,
+// the last, or anything between — out of step with the others caught a
+// torn image (independent relaxed stores would tear; the seqlock must not).
 TEST(ShardStats, BoardReadNeverTearsAcrossFields) {
   ShardCounterBoard board(1);
   constexpr std::uint64_t kRounds = 20000;
+  const auto& first = ShardLedger::kFields[0];
+  const auto& last_f = ShardLedger::kFields[ShardLedger::kNumFields - 1];
   std::atomic<bool> stop{false};
   std::uint64_t tears = 0, reads = 0;
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
       ShardLedger v = board.read(0);
-      if (v.msgs_rx != v.dispatched || v.frames != v.msgs_rx) tears++;
+      for (const auto& f : ShardLedger::kFields)
+        if (v.*f.member != v.*first.member) {
+          tears++;
+          break;
+        }
       reads++;
     }
   });
   for (std::uint64_t i = 1; i <= kRounds; ++i) {
     ShardLedger v;
-    v.msgs_rx = i;
-    v.dispatched = i;
-    v.frames = i;
-    v.cpu_ns = i * 3;
+    for (const auto& f : ShardLedger::kFields) v.*f.member = i;
     board.publish(0, v);
   }
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(tears, 0u) << "seqlock tore across " << reads << " reads";
   ShardLedger last = board.read(0);
-  EXPECT_EQ(last.msgs_rx, kRounds);
-  EXPECT_EQ(last.dispatched, kRounds);
+  EXPECT_EQ(last.*first.member, kRounds);
+  EXPECT_EQ(last.*last_f.member, kRounds);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,7 +356,7 @@ TEST_P(ShardedDelivery, EveryShardServesOnlyItsOwnAgentsInOrder) {
   EXPECT_EQ(w.ric.directory().num_agents(), 2u * shards);
   for (auto* n : nodes)
     EXPECT_NE(w.ric.directory().agent(n->gid), nullptr);
-  w.expect_global_reconciles();
+  w.expect_reconciles();
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedDelivery,
@@ -535,12 +539,58 @@ TEST(ShardedLedger, BoardSumMatchesPerShardGroundTruth) {
   EXPECT_EQ(sum.dispatched, dispatched);
   EXPECT_EQ(sum.rate_shed, rate);
   EXPECT_GT(sum.rate_shed, 0u) << "the burst was supposed to overload";
-  w.expect_global_reconciles();
+  w.expect_reconciles();
 }
 
 // ---------------------------------------------------------------------------
 // Directory resync after event-ring overflow
 // ---------------------------------------------------------------------------
+
+// Regression: control-lane evictions used to count as shed indications.
+// queue_shed sums both ingest classes, and the global invariant compared
+// that sum against emitted indications, so a burst of control acks shed by
+// a tiny control queue broke Σemitted == Σdelivered + ... + Σserver_shed.
+TEST(ShardedLedger, ControlLaneShedsAreNotIndicationSheds) {
+  server::ShardedConfig cfg;
+  cfg.server.overload.enabled = true;
+  cfg.server.overload.control_queue = 2;
+  cfg.server.overload.data_rate = 1e6;  // no rate shedding: isolate the lane
+  cfg.server.overload.data_burst = 1e6;
+  ShardWorld w(2, cfg);
+  w.enable_fanout();
+  std::vector<ShardWorld::Node*> nodes;
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    auto& n = w.add_agent(s);
+    ASSERT_TRUE(w.converge(n));
+    nodes.push_back(&n);
+  }
+  w.advance(50 * kMilli);  // fan-out subscriptions land
+  for (int round = 0; round < 10; ++round) {
+    for (auto* n : nodes) {
+      // A burst of controls: their acks arrive together and overflow the
+      // two-slot control lane, while indications keep flowing.
+      for (int k = 0; k < 8; ++k)
+        (void)w.ric.shard_server(n->shard)
+            .send_control(n->id, 200, Buffer{0x01}, Buffer{0x02}, {});
+      n->fn->emit(n->ctrl);
+    }
+    w.advance(5 * kMilli);
+  }
+  w.advance(500 * kMilli);  // drain, deadlines, every publish timer
+
+  std::uint64_t control_shed = 0;
+  for (std::uint32_t s = 0; s < 2; ++s)
+    control_shed += w.ric.shard_server(s)
+                        .ingest_queue()
+                        .queue(overload::MsgClass::control)
+                        .stats()
+                        .shed();
+  ASSERT_GT(control_shed, 0u) << "the control lane was supposed to shed";
+  const ShardLedger g = w.ric.global_ledger();
+  EXPECT_EQ(g.queue_shed, g.data_queue_shed + control_shed);
+  EXPECT_GT(w.fanout_delivered, 0u);
+  w.expect_reconciles();
+}
 
 TEST(ShardedResync, EventRingOverflowTriggersSnapshotRecovery) {
   server::ShardedConfig cfg;

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "ctrl/json.hpp"
 #include "ctrl/rest.hpp"
-#include "ctrl/supervision_rest.hpp"
+#include "ctrl/metrics_rest.hpp"
 #include "shard_world.hpp"
 
 namespace flexric::test {
@@ -58,17 +61,18 @@ TEST(HealthBoard, BeatReadReset) {
 TEST(CounterBoard, StaleEpochPublishIsDropped) {
   ShardCounterBoard board(1);
   ShardLedger v;
-  v.frames = 7;
+  v.dispatched = 7;
   const std::uint64_t old_epoch = board.epoch_of(0);
   board.publish(0, v, old_epoch);
-  EXPECT_EQ(board.read(0).frames, 7u);
+  EXPECT_EQ(board.read(0).dispatched, 7u);
   board.bump_epoch(0);
-  v.frames = 99;
+  v.dispatched = 99;
   board.publish(0, v, old_epoch);  // corpse incarnation
-  EXPECT_EQ(board.read(0).frames, 7u) << "stale-epoch publish must be dropped";
-  v.frames = 11;
+  EXPECT_EQ(board.read(0).dispatched, 7u)
+      << "stale-epoch publish must be dropped";
+  v.dispatched = 11;
   board.publish(0, v, board.epoch_of(0));  // replacement
-  EXPECT_EQ(board.read(0).frames, 11u);
+  EXPECT_EQ(board.read(0).dispatched, 11u);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,7 +243,7 @@ TEST(Recovery, WedgedShardIsRebuiltAgentsRehomeAndLedgerReconciles) {
   EXPECT_GT(w.first_redelivery_at, w.detect_at);
 
   w.settle();
-  w.expect_supervised_reconciles();
+  w.expect_reconciles();
 }
 
 TEST(Recovery, CrashedShardLinksResetAndLedgerReconciles) {
@@ -266,7 +270,7 @@ TEST(Recovery, CrashedShardLinksResetAndLedgerReconciles) {
   w.advance(20 * kMilli);
   EXPECT_GT(w.fanout_delivered, before);
   w.settle();
-  w.expect_supervised_reconciles();
+  w.expect_reconciles();
 }
 
 TEST(Recovery, ParkedFanoutIsShedWithExactAccounting) {
@@ -305,7 +309,7 @@ TEST(Recovery, ParkedFanoutIsShedWithExactAccounting) {
   w.unwedge_shard(0);
   w.advance(2 * kSecond);
   w.settle();
-  w.expect_supervised_reconciles();
+  w.expect_reconciles();
 }
 
 // ---------------------------------------------------------------------------
@@ -364,37 +368,65 @@ TEST(DirectoryResync, SnapshotRacingChurnConvergesWithoutGhosts) {
 }
 
 // ---------------------------------------------------------------------------
-// Northbound REST export (telemetry health metrics)
+// Northbound metrics export (GET /metrics, Prometheus text format)
 // ---------------------------------------------------------------------------
 
-TEST(SupervisionRest, ExportsHealthAndRecoveryCounters) {
+/// `name{labels}` -> value for every sample line of an exposition body;
+/// `lines` counts how often each series key appears.
+struct Exposition {
+  std::map<std::string, double> value;
+  std::map<std::string, int> lines;
+  [[nodiscard]] double at(const std::string& key) const {
+    auto it = value.find(key);
+    EXPECT_NE(it, value.end()) << "missing series " << key;
+    return it == value.end() ? -1.0 : it->second;
+  }
+  [[nodiscard]] int count(const std::string& key) const {
+    auto it = lines.find(key);
+    return it == lines.end() ? 0 : it->second;
+  }
+};
+
+Exposition parse_exposition(const std::string& body) {
+  Exposition e;
+  std::istringstream in(body);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t sp = line.rfind(' ');
+    const std::string key = line.substr(0, sp);
+    e.value[key] = std::stod(line.substr(sp + 1));
+    e.lines[key]++;
+  }
+  return e;
+}
+
+TEST(MetricsRest, ExportsHealthRecoveryAndLedgerCounters) {
   ShardWorld w(2, sup_cfg(), /*supervised=*/true);
   w.agent_rc = fast_rc();
+  auto& a = w.add_agent(1);  // its heartbeats give the ledger traffic
+  ASSERT_TRUE(w.converge(a));
   w.advance(100 * kMilli);
   w.wedge_shard(1);
   w.advance(kSecond);  // detect + rebuild + recover
   ASSERT_EQ(w.ric.supervisor().stats().restarts, 1u);
 
-  // The REST layer renders supervisor state; drive the handlers directly
-  // (the HTTP plumbing itself is covered by the REST tests).
+  // Drive the route over a real socket (the blocking client runs on a
+  // helper thread; the test thread pumps the serving reactor, which stands
+  // in for the home loop — the world is not advanced meanwhile).
   Reactor r;
   ctrl::HttpServer http(r);
-  ctrl::SupervisionRest rest(http, w.ric);
+  ctrl::serve_metrics(http, w.ric);
   ASSERT_TRUE(http.listen(0).is_ok());
-  std::string shards_body, sup_body;
-  // The release store publishes the bodies written before it; the main
+  std::string body;
+  // The release store publishes the body written before it; the main
   // thread's acquire load pairs with it (and join() below is the fallback).
   std::atomic<bool> got{false};
-  // One-shot client on a helper thread would break determinism; use the
-  // blocking client against the reactor pumped inline instead.
   std::thread client([&] {
-    auto resp1 = ctrl::HttpClient::request("127.0.0.1", http.port(), "GET",
-                                           "/shards");
-    auto resp2 = ctrl::HttpClient::request("127.0.0.1", http.port(), "GET",
-                                           "/supervision");
-    if (resp1.is_ok() && resp2.is_ok()) {
-      shards_body = resp1.value().body;
-      sup_body = resp2.value().body;
+    auto resp = ctrl::HttpClient::request("127.0.0.1", http.port(), "GET",
+                                          "/metrics");
+    if (resp.is_ok()) {
+      body = resp.value().body;
       got.store(true, std::memory_order_release);
     }
   });
@@ -402,22 +434,53 @@ TEST(SupervisionRest, ExportsHealthAndRecoveryCounters) {
     r.run_once(1);
   client.join();
   ASSERT_TRUE(got.load());
+  const Exposition e = parse_exposition(body);
 
-  auto shards = ctrl::Json::parse(shards_body);
-  ASSERT_TRUE(shards.is_ok());
-  const auto& arr = shards.value().as_object().at("shards").as_array();
-  ASSERT_EQ(arr.size(), 2u);
-  EXPECT_EQ(arr[0].as_object().at("health").as_string(), "healthy");
-  EXPECT_EQ(arr[1].as_object().at("health").as_string(), "healthy");
-  EXPECT_EQ(arr[1].as_object().at("restarts").as_number(), 1.0);
+  // Everything the per-shard health view carried.
+  const server::ShardSupervisor& sup = w.ric.supervisor();
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    const std::string shard = "{shard=\"" + std::to_string(i) + "\"";
+    EXPECT_EQ(e.at("flexric_shard_health" + shard + ",state=\"healthy\"}"),
+              1.0);
+    EXPECT_EQ(e.at("flexric_shard_beat_age_ns" + shard + "}"),
+              static_cast<double>(sup.last_age(i)));
+    EXPECT_LT(e.at("flexric_shard_beat_age_ns" + shard + "}"),
+              static_cast<double>(sup_cfg().supervise.degraded_after));
+    EXPECT_EQ(e.at("flexric_shard_accepting" + shard + "}"), 1.0);
+    EXPECT_EQ(e.at("flexric_shard_restarts" + shard + "}"), i == 1 ? 1.0 : 0.0);
+    // The ledger table: every entry exactly once per shard and incarnation
+    // set, carrying the same value the in-process ledger holds.
+    const ShardLedger live = w.ric.board().read(i);
+    const ShardLedger& retired = w.ric.retired_ledger(i);
+    for (const auto& f : ShardLedger::kFields) {
+      const std::string name = std::string("flexric_shard_") + f.name + shard;
+      const std::string live_key = name + ",ledger=\"live\"}";
+      const std::string retired_key = name + ",ledger=\"retired\"}";
+      EXPECT_EQ(e.count(live_key), 1) << live_key;
+      EXPECT_EQ(e.count(retired_key), 1) << retired_key;
+      EXPECT_EQ(e.at(live_key), static_cast<double>(live.*f.member));
+      EXPECT_EQ(e.at(retired_key), static_cast<double>(retired.*f.member));
+    }
+  }
+  // The rebuilt shard's dead incarnation dispatched the agent's traffic.
+  EXPECT_GT(e.at("flexric_shard_dispatched{shard=\"1\",ledger=\"retired\"}"),
+            0.0);
 
-  auto sup = ctrl::Json::parse(sup_body);
-  ASSERT_TRUE(sup.is_ok());
-  const auto& o = sup.value().as_object();
-  EXPECT_EQ(o.at("supervisor_quarantines").as_number(), 1.0);
-  EXPECT_EQ(o.at("supervisor_restarts").as_number(), 1.0);
-  EXPECT_EQ(o.at("supervisor_recoveries").as_number(), 1.0);
-  EXPECT_GT(o.at("mttr_last_ms").as_number(), 0.0);
+  // Everything the aggregate supervision view carried.
+  EXPECT_EQ(e.at("flexric_supervisor_polls"),
+            static_cast<double>(sup.stats().polls));
+  EXPECT_GT(e.at("flexric_supervisor_polls"), 0.0);
+  EXPECT_EQ(e.at("flexric_supervisor_degradations"), 1.0);
+  EXPECT_EQ(e.at("flexric_supervisor_quarantines"), 1.0);
+  EXPECT_EQ(e.at("flexric_supervisor_restarts"), 1.0);
+  EXPECT_EQ(e.at("flexric_supervisor_recoveries"), 1.0);
+  EXPECT_EQ(e.at("flexric_supervisor_mttr_last_ns"),
+            static_cast<double>(sup.stats().mttr_last));
+  EXPECT_GT(e.at("flexric_supervisor_mttr_last_ns"), 0.0);
+  EXPECT_EQ(e.at("flexric_supervisor_shed"),
+            static_cast<double>(w.ric.supervisor_shed()));
+  EXPECT_EQ(e.at("flexric_queries_failed"),
+            static_cast<double>(w.ric.queries_failed()));
 }
 
 // ---------------------------------------------------------------------------
@@ -477,7 +540,7 @@ std::string soak_run(std::uint64_t seed) {
   // Final drain: flush buffered backlogs, then reconcile the world.
   w.advance(2 * kSecond);
   w.settle();
-  w.expect_supervised_reconciles();
+  w.expect_reconciles();
   EXPECT_EQ(w.ric.supervisor().stats().quarantines,
             w.ric.supervisor().stats().recoveries)
       << "seed " << seed << ": a quarantined shard never recovered";

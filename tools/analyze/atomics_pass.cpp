@@ -114,6 +114,7 @@ void register_atomics(const FileUnit& f, const FileIndex& ix, Corpus& corpus) {
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     // Atomic declarations at declaration scope:
     //   std::atomic<T> name;   alignas(64) std::atomic<T> name{0};
+    //   std::atomic<T> name[N]{};  (one registry entry for the array)
     if (is_ident(t[i], "atomic") && scopes.func_depth[i] == 0 &&
         is_punct(t[i + 1], "<")) {
       std::size_t j = skip_template_args(t, i + 1);
@@ -123,7 +124,7 @@ void register_atomics(const FileUnit& f, const FileIndex& ix, Corpus& corpus) {
         ++j;
       if (j + 1 < t.size() && t[j].kind == Tok::identifier &&
           (is_punct(t[j + 1], ";") || is_punct(t[j + 1], "{") ||
-           is_punct(t[j + 1], "="))) {
+           is_punct(t[j + 1], "=") || is_punct(t[j + 1], "["))) {
         AtomicField fld;
         fld.file = f.rel;
         fld.line = t[j].line;
@@ -142,17 +143,30 @@ void register_atomics(const FileUnit& f, const FileIndex& ix, Corpus& corpus) {
       }
     }
 
-    // Atomic member ops: `field.store(...)`, `obj->field.load(...)`, RMWs.
+    // Atomic member ops: `field.store(...)`, `obj->field.load(...)`, RMWs,
+    // and element ops on atomic arrays, `field[k].store(...)` (attributed to
+    // the array, so a loop publishing every element counts as one field).
     const OpKind* op = atomic_op(t[i]);
+    std::size_t name_at = i >= 2 ? i - 2 : 0;
+    if (op != nullptr && i >= 2 && is_punct(t[i - 2], "]")) {
+      int depth = 0;
+      for (std::size_t k = i - 2; k > 0; --k) {
+        if (is_punct(t[k], "]")) depth++;
+        if (is_punct(t[k], "[") && --depth == 0) {
+          name_at = k - 1;
+          break;
+        }
+      }
+    }
     if (op != nullptr && i >= 2 && i + 1 < t.size() &&
         is_punct(t[i + 1], "(") &&
         (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->")) &&
-        t[i - 2].kind == Tok::identifier) {
+        t[name_at].kind == Tok::identifier) {
       std::size_t close = skip_balanced(t, i + 1);
       AtomicUse use;
       use.file = f.rel;
       use.line = t[i].line;
-      use.field = t[i - 2].text;
+      use.field = t[name_at].text;
       use.op = op->name;
       use.order = order_in_args(t, i + 1, close - 1);
       use.is_store = op->store;
