@@ -5,10 +5,15 @@
 // pdcp) with MAC + RLC + PDCP statistics at the paper's 1 ms export period
 // (§5.3), scaling the number of reporting agents. Every tier ingests at
 // least one million samples while checking after each tick that the store's
-// exact memory accounting never exceeds the configured budget. A separate
-// leg runs with a budget deliberately too small for the working set to show
-// eviction holding the bound. Windowed-query latency is then measured on
-// the populated store at each resolution (raw / tier1 / tier2 / automatic).
+// accounted memory (an upper bound of its heap) never exceeds the
+// configured budget. A separate leg runs with a budget deliberately too
+// small for the working set to show eviction holding the bound. A
+// whole-cell leg replays the e2bench asn_large_decode working set (4 agents
+// x 32 UEs, 1536 series, one report per agent and SM every 2 ms) and
+// reports the steady-state ingest cost in ns/sample. Windowed-query latency
+// is then measured on the populated store at each resolution (raw / tier1 /
+// tier2 / automatic).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -43,9 +48,9 @@ struct AgentLoad {
   e2sm::pdcp::IndicationMsg pdcp;
 };
 
-AgentLoad make_load() {
+AgentLoad make_load(int ues = kUesPerAgent) {
   AgentLoad load;
-  for (int u = 0; u < kUesPerAgent; ++u) {
+  for (int u = 0; u < ues; ++u) {
     auto rnti = static_cast<std::uint16_t>(100 + u);
     e2sm::mac::UeStats ue;
     ue.rnti = rnti;
@@ -134,6 +139,49 @@ IngestResult run_ingest(int agents, telemetry::TelemetryStore& store,
 std::size_t budget_for(std::size_t series) {
   telemetry::TelemetryStore probe{{}};
   return probe.memory_bytes() + (series + 2) * probe.per_series_cost();
+}
+
+/// Whole-cell leg: the asn_large_decode working set (4 agents x 32 UEs x 1
+/// bearer, core KPI set = 1536 series) at a 2 ms report cadence. Series are
+/// created during a warm-up pass; each timed rep then ingests 1000 ticks
+/// and yields one ns/sample figure (ingest calls only, value churn
+/// excluded). Returns the per-rep figures, sorted.
+std::vector<double> run_whole_cell(int reps) {
+  constexpr int kAgents = 4;
+  constexpr int kUes = 32;
+  constexpr int kWarmTicks = 200;
+  constexpr int kTicksPerRep = 1000;
+  telemetry::StoreConfig cfg;
+  cfg.memory_budget = budget_for(static_cast<std::size_t>(kAgents) * kUes * 12);
+  telemetry::TelemetryStore store{cfg};
+  telemetry::Ingest ingest(store);
+  Rng rng(7);
+  std::vector<AgentLoad> loads(kAgents, make_load(kUes));
+  Nanos t = 0;
+  auto tick = [&]() -> Nanos {
+    t += 2 * kMilli;
+    for (auto& load : loads) churn(rng, load);
+    Nanos t0 = mono_now();
+    for (int a = 0; a < kAgents; ++a) {
+      const auto& load = loads[static_cast<std::size_t>(a)];
+      auto agent = static_cast<telemetry::AgentId>(a);
+      ingest.mac(agent, t, load.mac);
+      ingest.rlc(agent, t, load.rlc);
+      ingest.pdcp(agent, t, load.pdcp);
+    }
+    return mono_now() - t0;
+  };
+  for (int i = 0; i < kWarmTicks; ++i) tick();
+  std::vector<double> ns_per_sample;
+  for (int r = 0; r < reps; ++r) {
+    std::uint64_t before = ingest.samples_in();
+    Nanos spent = 0;
+    for (int i = 0; i < kTicksPerRep; ++i) spent += tick();
+    ns_per_sample.push_back(static_cast<double>(spent) /
+                            static_cast<double>(ingest.samples_in() - before));
+  }
+  std::sort(ns_per_sample.begin(), ns_per_sample.end());
+  return ns_per_sample;
 }
 
 struct QueryStats {
@@ -231,6 +279,22 @@ int main(int argc, char** argv) {
              "bytes");
     json.add("tight_budget_evictions", static_cast<double>(r.evictions),
              "evictions");
+  }
+
+  // -- whole-cell working set (e2bench asn_large_decode) ---------------------
+  {
+    std::vector<double> ns = run_whole_cell(7);
+    double median = ns[ns.size() / 2];
+    double q1 = ns[ns.size() / 4];
+    double q3 = ns[(3 * ns.size()) / 4];
+    std::printf(
+        "\n  whole cell (4 agents x 32 UEs, 1536 series, 2 ms cadence): "
+        "%.1f ns/sample median (IQR %.1f-%.1f, 7 reps), %.2f us per "
+        "128-sample report\n",
+        median, q1, q3, median * 128.0 / 1000.0);
+    json.add("whole_cell_ns_per_sample", median, "ns");
+    json.add("whole_cell_ns_per_sample_q1", q1, "ns");
+    json.add("whole_cell_ns_per_sample_q3", q3, "ns");
   }
 
   // -- query latency on the populated 16-agent store ------------------------

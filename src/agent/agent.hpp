@@ -62,7 +62,7 @@ class E2Agent final : public AgentServices {
     e2ap::GlobalNodeId node_id;
     WireFormat e2ap_format = WireFormat::per;  ///< O-RAN default: ASN.1
     /// Bounded indication buffering + shed reporting (see OverloadConfig).
-    OverloadConfig overload;
+    OverloadConfig overload{};
   };
 
   E2Agent(Reactor& reactor, Config cfg);

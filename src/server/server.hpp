@@ -126,7 +126,7 @@ class E2Server {
       return rc;
     }();
     /// Overload protection; OFF by default (see OverloadConfig).
-    OverloadConfig overload;
+    OverloadConfig overload{};
     /// Sharded deployments (DESIGN.md §13): this server instance is shard
     /// `shard` of `num_shards`. With num_shards > 1 the server enforces the
     /// GlobalNodeId-hash partition at setup time — an agent whose node id

@@ -10,6 +10,11 @@
 //            path where the iApp never materializes the message) and decodes
 //            internally, dispatching on the RAN function id.
 //
+// Each UE (MAC) or bearer (RLC, PDCP) of a report becomes one row write: the
+// adapter fills a stack array with that entity's metric values and hands it
+// to TelemetryStore::record_row(), so the store's index is consulted once
+// per row, not once per sample.
+//
 // Timestamps come from the indication *header* (tstamp_ns, stamped by the
 // agent at collection time), not controller arrival time, so series align
 // across agents regardless of northbound latency. All three statistics SMs
@@ -18,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "codec/wire.hpp"
 #include "common/buffer.hpp"
@@ -71,7 +77,11 @@ class Ingest {
   }
 
  private:
-  void put(AgentId agent, std::uint32_t entity, Metric m, Nanos t, double v);
+  /// Records one UE/bearer row: `row` lists the core metrics first and the
+  /// last `n_extended` values are the extended set, kept only with
+  /// extended_metrics. One store index lookup per row, not per sample.
+  void put_row(AgentId agent, std::uint32_t entity, Nanos t,
+               std::span<const MetricValue> row, std::size_t n_extended);
 
   TelemetryStore& store_;
   IngestConfig cfg_;

@@ -11,6 +11,13 @@ Nanos bucket_start(Nanos t, Nanos width) noexcept {
   return q * width;
 }
 
+/// Slot `head + i` of a ring of `cap` (head < cap, i <= cap): wraps by
+/// compare-and-reset instead of a runtime division.
+std::size_t ring_slot(std::size_t head, std::size_t i, std::size_t cap) {
+  std::size_t at = head + i;
+  return at >= cap ? at - cap : at;
+}
+
 }  // namespace
 
 std::size_t SeriesLayout::bytes_per_series() const noexcept {
@@ -27,32 +34,42 @@ TimeSeries::TimeSeries(const SeriesLayout& layout) : layout_(layout) {
 void TimeSeries::RollupRing::push(const Rollup& r) {
   if (slots.empty()) return;
   if (size < slots.size()) {
-    slots[(head + size) % slots.size()] = r;
+    slots[ring_slot(head, size, slots.size())] = r;
     size++;
   } else {
     slots[head] = r;
-    head = (head + 1) % slots.size();
+    if (++head == slots.size()) head = 0;
   }
 }
 
+// @hotpath one call per ingested sample
 void TimeSeries::push(Nanos t, double v) {
   if (!raw_.empty()) {
     if (raw_size_ < raw_.size()) {
-      raw_[(raw_head_ + raw_size_) % raw_.size()] = {t, v};
+      raw_[ring_slot(raw_head_, raw_size_, raw_.size())] = {t, v};
       raw_size_++;
     } else {
       raw_[raw_head_] = {t, v};
-      raw_head_ = (raw_head_ + 1) % raw_.size();
+      if (++raw_head_ == raw_.size()) raw_head_ = 0;
     }
   }
   total_samples_++;
   last_t_ = t;
 
+  // Common case: t falls inside the open tier-1 bucket, so its bucket start
+  // is the open one's and no division is needed.
+  if (open1_active_ && t >= open1_.t_start && t < open1_end_) {
+    open1_.add(v);
+    return;
+  }
   Nanos b1 = bucket_start(t, layout_.tier1_width);
   if (open1_active_ && b1 > open1_.t_start) close_tier1();
   if (!open1_active_) {
     open1_ = Rollup{};
     open1_.t_start = b1;
+    open1_end_ = b1 > std::numeric_limits<Nanos>::max() - layout_.tier1_width
+                     ? std::numeric_limits<Nanos>::max()
+                     : b1 + layout_.tier1_width;
     open1_active_ = true;
   }
   open1_.add(v);
@@ -87,7 +104,7 @@ Nanos TimeSeries::oldest_raw_t() const noexcept {
 std::vector<RawSample> TimeSeries::raw_range(Nanos t0, Nanos t1) const {
   std::vector<RawSample> out;
   for (std::size_t i = 0; i < raw_size_; ++i) {
-    const RawSample& s = raw_[(raw_head_ + i) % raw_.size()];
+    const RawSample& s = raw_[ring_slot(raw_head_, i, raw_.size())];
     if (s.t >= t0 && s.t < t1) out.push_back(s);
   }
   return out;
@@ -98,7 +115,7 @@ std::vector<RawSample> TimeSeries::latest(std::size_t n) const {
   std::vector<RawSample> out;
   out.reserve(take);
   for (std::size_t i = raw_size_ - take; i < raw_size_; ++i)
-    out.push_back(raw_[(raw_head_ + i) % raw_.size()]);
+    out.push_back(raw_[ring_slot(raw_head_, i, raw_.size())]);
   return out;
 }
 
@@ -107,7 +124,7 @@ std::vector<Rollup> TimeSeries::rollup_range(int tier, Nanos t0,
   std::vector<Rollup> out;
   const RollupRing& ring = tier == 1 ? tier1_ : tier2_;
   for (std::size_t i = 0; i < ring.size; ++i) {
-    const Rollup& r = ring.slots[(ring.head + i) % ring.slots.size()];
+    const Rollup& r = ring.slots[ring_slot(ring.head, i, ring.slots.size())];
     if (r.t_start >= t0 && r.t_start < t1) out.push_back(r);
   }
   const Rollup& open = tier == 1 ? open1_ : open2_;

@@ -13,7 +13,8 @@
 // the raw ring wraps, the overwritten window already lives in tier1, and by
 // the time tier1 wraps it lives in tier2 — old data degrades in resolution
 // instead of vanishing. Every ring is sized at construction and never
-// reallocates, which is what makes store-level memory accounting exact.
+// reallocates, which is what keeps store-level memory accounting a fixed
+// per-series cost.
 //
 // Timestamps are expected non-decreasing (the indication stream is ordered
 // per agent). A late sample still lands in the raw ring and is folded into
@@ -82,7 +83,9 @@ class TimeSeries {
 
   /// Record one sample. Named push (not append): the raw ring and rollup
   /// buckets are preallocated by the constructor — this never allocates,
-  /// which the hotpath-alloc pass can see from the name alone.
+  /// which the hotpath-alloc pass can see from the name alone. Rings wrap
+  /// by compare-and-reset, and a sample inside the open tier-1 bucket skips
+  /// the bucket-start division; late samples take the general path.
   void push(Nanos t, double v);
 
   [[nodiscard]] std::uint64_t total_samples() const noexcept {
@@ -119,21 +122,24 @@ class TimeSeries {
   void close_tier1();
   void close_tier2();
 
-  SeriesLayout layout_;
-
+  // Everything push() touches comes first, so a sample inside the open
+  // tier-1 bucket reads and writes two cache lines of this object (plus one
+  // raw slot and one sketch bucket) instead of scattering across its whole
+  // footprint.
   std::vector<RawSample> raw_;
   std::size_t raw_head_ = 0;
   std::size_t raw_size_ = 0;
-
-  RollupRing tier1_;
-  RollupRing tier2_;
-  Rollup open1_{};
-  Rollup open2_{};
-  bool open1_active_ = false;
-  bool open2_active_ = false;
-
   std::uint64_t total_samples_ = 0;
   Nanos last_t_ = 0;
+  Nanos open1_end_ = 0;  ///< open1_.t_start + tier1 width (saturated)
+  bool open1_active_ = false;
+  bool open2_active_ = false;
+  Rollup open1_{};
+
+  SeriesLayout layout_;
+  RollupRing tier1_;
+  RollupRing tier2_;
+  Rollup open2_{};
 };
 
 }  // namespace flexric::telemetry

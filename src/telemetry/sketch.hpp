@@ -63,8 +63,8 @@ class QuantileSketch {
         c + by > 0xFFFF ? 0xFFFF : c + by);
     total_ += by;
   }
-  std::array<std::uint16_t, kBuckets> counts_{};
   std::uint64_t total_ = 0;  ///< true count, unaffected by saturation
+  std::array<std::uint16_t, kBuckets> counts_{};
 };
 
 }  // namespace flexric::telemetry

@@ -1,6 +1,7 @@
 #include "telemetry/store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 namespace flexric::telemetry {
@@ -89,48 +90,112 @@ TelemetryStore::TelemetryStore(StoreConfig cfg) : cfg_(cfg) {
   per_series_cost_ = cfg_.layout.bytes_per_series() + kSeriesOverhead;
 }
 
-bool TelemetryStore::evict_one() {
-  if (series_.empty()) return false;
-  auto victim = series_.begin();
-  for (auto it = series_.begin(); it != series_.end(); ++it)
-    if (it->second.last_write_seq < victim->second.last_write_seq) victim = it;
-  series_.erase(victim);
+std::size_t TelemetryStore::row_index(RowKey key) const noexcept {
+  auto it = std::lower_bound(
+      rows_.begin(), rows_.end(), key,
+      [](const RowSlot& r, const RowKey& k) { return r.key < k; });
+  return static_cast<std::size_t>(it - rows_.begin());
+}
+
+TelemetryStore::Row* TelemetryStore::find_row(RowKey key) const noexcept {
+  std::size_t i = row_index(key);
+  return i < rows_.size() && rows_[i].key == key ? rows_[i].row.get()
+                                                 : nullptr;
+}
+
+bool TelemetryStore::evict_one(const Row* writing) {
+  RowSlot* victim_row = nullptr;
+  std::size_t victim_slot = 0;
+  std::uint64_t oldest = 0;
+  for (RowSlot& r : rows_) {
+    for (std::uint32_t live = r.row->live; live != 0; live &= live - 1) {
+      auto m = static_cast<std::size_t>(std::countr_zero(live));
+      std::uint64_t seq = r.row->slots[m]->last_write_seq;
+      if (victim_row == nullptr || seq < oldest) {
+        victim_row = &r;
+        victim_slot = m;
+        oldest = seq;
+      }
+    }
+  }
+  if (victim_row == nullptr) return false;
+  Row& row = *victim_row->row;
+  row.slots[victim_slot].reset();
+  row.live &= ~(1u << victim_slot);
+  series_--;
   evictions_++;
+  if (row.live == 0 && &row != writing)
+    rows_.erase(rows_.begin() + (victim_row - rows_.data()));
   return true;
 }
 
-// Allocation lives here, not in record(): a series is created once per key
-// (then evicted at most once per budget breach), while record() runs per
-// sample — keeping the two in separate functions lets the hotpath-alloc
-// pass verify the per-sample path allocation-free instead of carrying
-// baseline debt for the first-contact case.
-// @coldpath first contact per series key, not per sample
-TelemetryStore::Entry* TelemetryStore::ensure_entry(const SeriesKey& key) {
-  while (sizeof(*this) + (series_.size() + 1) * per_series_cost_ >
-         cfg_.memory_budget) {
-    if (!cfg_.evict_on_budget || !evict_one()) {
-      dropped_++;
-      return nullptr;
-    }
-  }
-  return &series_.emplace(key, Entry(cfg_.layout)).first->second;
+// Allocation lives here, not in record_row(): a row and its series are
+// created once per key (then evicted at most once per budget breach), while
+// record_row() runs per UE/bearer of every report — keeping them in
+// separate functions lets the hotpath-alloc pass verify the per-report path
+// allocation-free instead of carrying baseline debt for the first-contact
+// case.
+// @coldpath first contact per (agent, entity) row, not per report
+TelemetryStore::Row* TelemetryStore::ensure_row(RowKey key) {
+  auto at = rows_.begin() + static_cast<std::ptrdiff_t>(row_index(key));
+  return rows_.insert(at, RowSlot{key, std::make_unique<Row>()})->row.get();
 }
 
-// @hotpath one call per ingested sample
-Status TelemetryStore::record(const SeriesKey& key, Nanos t, double v) {
+// @coldpath first contact per series key, not per sample
+TelemetryStore::Entry* TelemetryStore::ensure_entry(Row& row, Metric m) {
+  while (sizeof(*this) + (series_ + 1) * per_series_cost_ >
+         cfg_.memory_budget) {
+    if (!cfg_.evict_on_budget || !evict_one(&row)) return nullptr;
+  }
+  auto slot = static_cast<std::size_t>(m);
+  row.slots[slot] = std::make_unique<Entry>(cfg_.layout);
+  row.live |= 1u << slot;
+  series_++;
+  return row.slots[slot].get();
+}
+
+void TelemetryStore::drop_row(RowKey key) {
+  std::size_t i = row_index(key);
+  if (i < rows_.size() && rows_[i].key == key)
+    rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+// @hotpath one call per UE/bearer row of an ingested report
+Status TelemetryStore::record_row(AgentId agent, std::uint32_t entity,
+                                  Nanos t,
+                                  std::span<const MetricValue> values) {
   FLEXRIC_ASSERT_AFFINITY(affinity_);
-  auto it = series_.find(key);
-  Entry* e = it != series_.end() ? &it->second : ensure_entry(key);
-  if (e == nullptr) return Errc::capacity;
-  e->series.push(t, v);
-  e->last_write_seq = ++write_seq_;
-  total_samples_++;
-  return Status::ok();
+  const RowKey key{agent, entity};
+  Row* row = find_row(key);
+  if (row == nullptr) row = ensure_row(key);
+  std::size_t rejected = 0;
+  for (const MetricValue& mv : values) {
+    auto slot = static_cast<std::size_t>(mv.metric);
+    Entry* e = nullptr;
+    if (slot < kNumMetrics) {
+      e = row->slots[slot] ? row->slots[slot].get()
+                           : ensure_entry(*row, mv.metric);
+    }
+    if (e == nullptr) {
+      rejected++;
+      continue;
+    }
+    e->series.push(t, mv.v);
+    e->last_write_seq = ++write_seq_;
+    total_samples_++;
+  }
+  if (row->live == 0) drop_row(key);  // nothing of this row was admitted
+  if (rejected == 0) return Status::ok();
+  dropped_ += rejected;
+  return Errc::capacity;
 }
 
 const TimeSeries* TelemetryStore::find(const SeriesKey& key) const {
-  auto it = series_.find(key);
-  return it == series_.end() ? nullptr : &it->second.series;
+  auto slot = static_cast<std::size_t>(key.metric);
+  const Row* row = slot < kNumMetrics ? find_row({key.agent, key.entity})
+                                      : nullptr;
+  return row != nullptr && row->slots[slot] ? &row->slots[slot]->series
+                                            : nullptr;
 }
 
 Result<std::vector<RawSample>> TelemetryStore::raw_range(const SeriesKey& key,
@@ -233,24 +298,24 @@ Result<WindowAggregate> TelemetryStore::window_aggregate(
 
 std::vector<SeriesInfo> TelemetryStore::list_series() const {
   std::vector<SeriesInfo> out;
-  out.reserve(series_.size());
-  for (const auto& [key, entry] : series_) {
+  out.reserve(series_);
+  for_each_series([&](const SeriesKey& key, const TimeSeries& s) {
     SeriesInfo info;
     info.key = key;
-    info.total_samples = entry.series.total_samples();
-    info.raw_count = entry.series.raw_count();
-    info.tier1_count = entry.series.rollup_count(1);
-    info.tier2_count = entry.series.rollup_count(2);
-    info.oldest_raw_t = entry.series.oldest_raw_t();
-    info.last_t = entry.series.last_t();
+    info.total_samples = s.total_samples();
+    info.raw_count = s.raw_count();
+    info.tier1_count = s.rollup_count(1);
+    info.tier2_count = s.rollup_count(2);
+    info.oldest_raw_t = s.oldest_raw_t();
+    info.last_t = s.last_t();
     out.push_back(info);
-  }
+  });
   return out;
 }
 
 std::string TelemetryStore::dump_json(std::size_t max_raw_per_series) const {
   std::string out;
-  out.reserve(256 + series_.size() * (128 + max_raw_per_series * 32));
+  out.reserve(256 + series_ * (128 + max_raw_per_series * 32));
   out += "{\"budget_bytes\":";
   append_u64(out, memory_budget());
   out += ",\"memory_bytes\":";
@@ -265,7 +330,7 @@ std::string TelemetryStore::dump_json(std::size_t max_raw_per_series) const {
   append_u64(out, dropped_);
   out += ",\"series\":[";
   bool first = true;
-  for (const auto& [key, entry] : series_) {
+  for_each_series([&](const SeriesKey& key, const TimeSeries& s) {
     if (!first) out += ',';
     first = false;
     out += "{\"agent\":";
@@ -277,15 +342,15 @@ std::string TelemetryStore::dump_json(std::size_t max_raw_per_series) const {
     out += ",\"metric\":\"";
     out += metric_name(key.metric);
     out += "\",\"total_samples\":";
-    append_u64(out, entry.series.total_samples());
+    append_u64(out, s.total_samples());
     out += ",\"tier1_rollups\":";
-    append_u64(out, entry.series.rollup_count(1));
+    append_u64(out, s.rollup_count(1));
     out += ",\"tier2_rollups\":";
-    append_u64(out, entry.series.rollup_count(2));
+    append_u64(out, s.rollup_count(2));
     out += ",\"last_t\":";
-    append_i64(out, entry.series.last_t());
+    append_i64(out, s.last_t());
     out += ",\"raw\":[";
-    std::vector<RawSample> tail = entry.series.latest(max_raw_per_series);
+    std::vector<RawSample> tail = s.latest(max_raw_per_series);
     for (std::size_t i = 0; i < tail.size(); ++i) {
       if (i != 0) out += ',';
       out += '[';
@@ -295,7 +360,7 @@ std::string TelemetryStore::dump_json(std::size_t max_raw_per_series) const {
       out += ']';
     }
     out += "]}";
-  }
+  });
   out += "]}";
   return out;
 }

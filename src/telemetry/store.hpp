@@ -8,20 +8,32 @@
 // with eager multi-resolution downsampling (series.hpp) under one global
 // memory budget.
 //
-// Memory model: every series costs exactly
-// SeriesLayout::bytes_per_series() + kSeriesOverhead bytes (rings never
-// reallocate), so the accounted total is series_count * per_series_cost and
-// admission is a simple comparison. When creating a series would exceed the
-// budget the store either evicts the least-recently-written series
-// (evict_on_budget, the default — stale UEs/bearers age out) or rejects the
-// sample with Errc::capacity. Samples for existing series are never dropped.
+// Index: one row per (agent, entity) — a UE or a bearer — in a sorted flat
+// vector; a row holds one slot per Metric, each slot a series allocated on
+// first contact. An indication writes a whole UE/bearer row through
+// record_row(), so ingest pays one index lookup per row instead of one per
+// sample; a query is a row lookup plus a metric slot.
+//
+// Memory model: every series is accounted at
+// SeriesLayout::bytes_per_series() + kSeriesOverhead bytes, where the
+// overhead is the worst-case index cost of a row that holds this series
+// alone (rings never reallocate), so the accounted total
+// sizeof(store) + series_count * per_series_cost is an upper bound of the
+// heap the store owns and admission is a simple comparison. When creating a
+// series would exceed the budget the store either evicts the
+// least-recently-written series (evict_on_budget, the default — stale
+// UEs/bearers age out) or rejects the sample with Errc::capacity. Samples
+// for existing series are never dropped.
 //
 // All methods run on the reactor thread (single-threaded by the SDK's
 // contract); queries return copies, so the caller owns the result.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,6 +77,10 @@ enum class Metric : std::uint16_t {
   pdcp_discarded_sdus,
 };
 
+/// Number of Metric values: the slot count of a store row.
+inline constexpr std::size_t kNumMetrics =
+    static_cast<std::size_t>(Metric::pdcp_discarded_sdus) + 1;
+
 [[nodiscard]] const char* metric_name(Metric m) noexcept;
 [[nodiscard]] Result<Metric> metric_from_name(std::string_view name);
 
@@ -85,6 +101,12 @@ struct SeriesKey {
   std::uint32_t entity = 0;
   Metric metric = Metric::mac_cqi;
   auto operator<=>(const SeriesKey&) const = default;
+};
+
+/// One sample of a row write: record_row() stores `v` in `metric`'s series.
+struct MetricValue {
+  Metric metric = Metric::mac_cqi;
+  double v = 0.0;
 };
 
 struct StoreConfig {
@@ -124,9 +146,19 @@ class TelemetryStore {
  public:
   explicit TelemetryStore(StoreConfig cfg);
 
-  /// Ingest one sample. Errc::capacity when a new series cannot be
-  /// admitted under the budget (and eviction is off or cannot help).
-  Status record(const SeriesKey& key, Nanos t, double v);
+  /// Ingest one sample at time `t` per value, all for the same (agent,
+  /// entity) row, in span order (which is also the LRU write order). A
+  /// value whose new series cannot be admitted under the budget (eviction
+  /// off or unable to help) is dropped and counted in dropped_samples();
+  /// the rest of the row is still recorded, and the call returns
+  /// Errc::capacity.
+  Status record_row(AgentId agent, std::uint32_t entity, Nanos t,
+                    std::span<const MetricValue> values);
+  /// One-sample row.
+  Status record(const SeriesKey& key, Nanos t, double v) {
+    const MetricValue one{key.metric, v};
+    return record_row(key.agent, key.entity, t, {&one, 1});
+  }
 
   // -- queries (Errc::not_found for unknown series) --
   [[nodiscard]] Result<std::vector<RawSample>> raw_range(const SeriesKey& key,
@@ -144,11 +176,9 @@ class TelemetryStore {
   [[nodiscard]] const TimeSeries* find(const SeriesKey& key) const;
 
   // -- accounting --
-  [[nodiscard]] std::size_t num_series() const noexcept {
-    return series_.size();
-  }
+  [[nodiscard]] std::size_t num_series() const noexcept { return series_; }
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return sizeof(*this) + series_.size() * per_series_cost_;
+    return sizeof(*this) + series_ * per_series_cost_;
   }
   [[nodiscard]] std::size_t memory_budget() const noexcept {
     return cfg_.memory_budget;
@@ -170,26 +200,73 @@ class TelemetryStore {
       const;
 
  private:
-  /// Estimated per-series bookkeeping outside the rings (map node, key).
-  static constexpr std::size_t kSeriesOverhead = 96;
-
   struct Entry {
+    std::uint64_t last_write_seq = 0;  // first: shares push()'s hot lines
     TimeSeries series;
-    std::uint64_t last_write_seq = 0;
     explicit Entry(const SeriesLayout& l) : series(l) {}
   };
+  /// Every series of one (agent, entity), one slot per Metric; `live` has
+  /// bit m set when slot m holds a series.
+  struct Row {
+    std::array<std::unique_ptr<Entry>, kNumMetrics> slots;
+    std::uint32_t live = 0;
+  };
+  struct RowKey {
+    AgentId agent = 0;
+    std::uint32_t entity = 0;
+    auto operator<=>(const RowKey&) const = default;
+  };
+  struct RowSlot {
+    RowKey key;
+    std::unique_ptr<Row> row;
+  };
+  static_assert(kNumMetrics <= 32, "Row::live is a 32-bit mask");
 
-  bool evict_one();
-  /// First-contact slow path of record(): eviction loop + map-node
-  /// allocation. nullptr when the budget rejects the new series.
-  Entry* ensure_entry(const SeriesKey& key);
+  /// Allocator bookkeeping per heap block (one size word, 16-byte
+  /// granularity).
+  static constexpr std::size_t kHeapBlockOverhead = 16;
+  /// Worst-case bytes a series costs beyond SeriesLayout::bytes_per_series():
+  /// a row that holds only this series — its index slot (twice, for vector
+  /// growth slack), the Row block and the Entry's own fields — plus the
+  /// allocator overhead of the Row, the Entry and the three ring blocks.
+  static constexpr std::size_t kSeriesOverhead =
+      2 * sizeof(RowSlot) + sizeof(Row) +
+      (sizeof(Entry) - sizeof(TimeSeries)) + 5 * kHeapBlockOverhead;
+
+  /// Position of the first index slot whose key is not less than `key`.
+  [[nodiscard]] std::size_t row_index(RowKey key) const noexcept;
+  [[nodiscard]] Row* find_row(RowKey key) const noexcept;
+  /// Evicts the least-recently-written series. Drops its row when that
+  /// leaves it empty, unless it is `writing` (the row record_row holds).
+  bool evict_one(const Row* writing);
+  /// First-contact slow paths of record_row(): index insertion, and the
+  /// eviction loop + series allocation (nullptr when the budget rejects
+  /// the new series).
+  Row* ensure_row(RowKey key);
+  Entry* ensure_entry(Row& row, Metric m);
+  void drop_row(RowKey key);
+
+  /// Visits every series in SeriesKey order.
+  template <typename Fn>
+  void for_each_series(Fn&& fn) const {
+    for (const RowSlot& r : rows_) {
+      for (std::uint32_t live = r.row->live; live != 0; live &= live - 1) {
+        auto m = static_cast<std::size_t>(std::countr_zero(live));
+        fn(SeriesKey{r.key.agent, r.key.entity, static_cast<Metric>(m)},
+           r.row->slots[m]->series);
+      }
+    }
+  }
 
   StoreConfig cfg_;
   /// No Reactor reference here, so the stamp lazily binds to the first
   /// calling thread (check_or_bind); mutable because const queries check it.
   mutable ReactorAffinity affinity_;
   std::size_t per_series_cost_ = 0;
-  std::map<SeriesKey, Entry> series_;
+  /// Sorted by key: rows in (agent, entity) order, slots in Metric order —
+  /// together the SeriesKey order every listing uses.
+  std::vector<RowSlot> rows_;
+  std::size_t series_ = 0;
   std::uint64_t write_seq_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t dropped_ = 0;

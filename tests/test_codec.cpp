@@ -591,8 +591,8 @@ TEST(AdversarialFrames, InflatedCountRejectedByGuard) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, AdversarialFrames, ::testing::ValuesIn(kAdversarialCorpus),
-    [](const ::testing::TestParamInfo<AdversarialCase>& info) {
-      std::string s = info.param.name;
+    [](const ::testing::TestParamInfo<AdversarialCase>& tp) {
+      std::string s = tp.param.name;
       for (char& ch : s)
         if (ch == '/') ch = '_';
       return s;

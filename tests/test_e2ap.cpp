@@ -201,8 +201,8 @@ TEST_P(E2apRoundTrip, GarbageInputRejected) {
 
 INSTANTIATE_TEST_SUITE_P(Formats, E2apRoundTrip,
                          ::testing::Values(WireFormat::per, WireFormat::flat),
-                         [](const auto& info) {
-                           return std::string(wire_format_name(info.param));
+                         [](const auto& tp) {
+                           return std::string(wire_format_name(tp.param));
                          });
 
 TEST(E2apSizes, PerIsMoreCompactThanFlat) {

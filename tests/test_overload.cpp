@@ -679,8 +679,9 @@ telemetry::StoreConfig tiny_store(std::size_t n_series, bool evict) {
   cfg.layout.tier1_capacity = 8;
   cfg.layout.tier2_capacity = 8;
   cfg.evict_on_budget = evict;
-  cfg.memory_budget = sizeof(telemetry::TelemetryStore) +
-                      n_series * (cfg.layout.bytes_per_series() + 96);
+  telemetry::TelemetryStore probe(cfg);
+  cfg.memory_budget =
+      probe.memory_bytes() + n_series * probe.per_series_cost();
   return cfg;
 }
 

@@ -636,7 +636,9 @@ std::string run_chaos(std::uint64_t seed, std::uint64_t* reconnects_out) {
   EXPECT_EQ(w.server.ran_db().num_agents(), 1u);
   const auto* info = w.server.ran_db().agent(aid);
   EXPECT_NE(info, nullptr) << "agent id churned across reconnects";
-  if (info != nullptr) EXPECT_TRUE(info->connected);
+  if (info != nullptr) {
+    EXPECT_TRUE(info->connected);
+  }
   EXPECT_EQ(w.server.num_connections(), 1u);
   EXPECT_EQ(w.server.num_inflight_controls(), 0u);
   EXPECT_LE(w.server.num_subscriptions(), 1u);
@@ -687,8 +689,8 @@ TEST_P(ChaosSoak, ConvergesAndIsDeterministic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoak, ::testing::ValuesIn(chaos_seeds()),
-                         [](const auto& info) {
-                           return "seed_" + std::to_string(info.param);
+                         [](const auto& tp) {
+                           return "seed_" + std::to_string(tp.param);
                          });
 
 // ---------------------------------------------------------------------------
@@ -767,7 +769,9 @@ std::string run_sharded_chaos(std::uint64_t seed) {
     const auto* info =
         w.ric.shard_server(nodes[i]->shard).ran_db().agent(nodes[i]->id);
     EXPECT_NE(info, nullptr);
-    if (info != nullptr) EXPECT_TRUE(info->connected);
+    if (info != nullptr) {
+      EXPECT_TRUE(info->connected);
+    }
   }
   // The home-side merged directory agrees with every shard (the directory
   // resyncs after any event-ring loss, so eventual agreement is exact).

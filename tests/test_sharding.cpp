@@ -361,8 +361,8 @@ TEST_P(ShardedDelivery, EveryShardServesOnlyItsOwnAgentsInOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedDelivery,
                          ::testing::Values(1u, 2u, 4u),
-                         [](const auto& info) {
-                           return "shards_" + std::to_string(info.param);
+                         [](const auto& tp) {
+                           return "shards_" + std::to_string(tp.param);
                          });
 
 // ---------------------------------------------------------------------------
@@ -653,9 +653,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(std::uint64_t{1}, std::uint64_t{2},
                                          std::uint64_t{3}),
                        ::testing::Values(1u, 2u, 4u)),
-    [](const auto& info) {
-      return "seed_" + std::to_string(std::get<0>(info.param)) + "_shards_" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& tp) {
+      return "seed_" + std::to_string(std::get<0>(tp.param)) + "_shards_" +
+             std::to_string(std::get<1>(tp.param));
     });
 
 }  // namespace

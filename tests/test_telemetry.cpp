@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string_view>
 #include <thread>
 
 #include "agent/agent.hpp"
@@ -256,8 +259,9 @@ StoreConfig small_store(std::size_t n_series) {
   cfg.layout.raw_capacity = 32;
   cfg.layout.tier1_capacity = 8;
   cfg.layout.tier2_capacity = 8;
-  cfg.memory_budget = sizeof(TelemetryStore) +
-                      n_series * (cfg.layout.bytes_per_series() + 96);
+  TelemetryStore probe(cfg);
+  cfg.memory_budget =
+      probe.memory_bytes() + n_series * probe.per_series_cost();
   return cfg;
 }
 
@@ -306,6 +310,103 @@ TEST(Store, RejectsWhenEvictionDisabled) {
   EXPECT_EQ(store.evictions(), 0u);
   // Existing series still accept samples.
   EXPECT_TRUE(store.record(key_of(1, 1, Metric::mac_cqi), kMilli, 2.0).is_ok());
+}
+
+TEST(StoreRow, RejectedSeriesLeavesTheRestOfTheRowRecorded) {
+  StoreConfig cfg = small_store(2);
+  cfg.evict_on_budget = false;
+  TelemetryStore store(cfg);
+  const std::uint32_t ent = make_entity(7);
+  const MetricValue first[] = {{Metric::mac_cqi, 1.0},
+                               {Metric::mac_mcs_dl, 2.0}};
+  ASSERT_TRUE(store.record_row(1, ent, kMilli, first).is_ok());
+
+  // bsr and bytes_dl would be new series over budget: both are dropped,
+  // while cqi and mcs_dl (existing) record around them.
+  const MetricValue second[] = {{Metric::mac_cqi, 10.0},
+                                {Metric::mac_bsr, 11.0},
+                                {Metric::mac_mcs_dl, 12.0},
+                                {Metric::mac_bytes_dl, 13.0}};
+  EXPECT_EQ(store.record_row(1, ent, 2 * kMilli, second).code(),
+            Errc::capacity);
+  EXPECT_EQ(store.dropped_samples(), 2u);
+  EXPECT_EQ(store.total_samples(), 4u);
+  EXPECT_EQ(store.num_series(), 2u);
+  EXPECT_EQ(store.find(SeriesKey{1, ent, Metric::mac_bsr}), nullptr);
+  auto cqi = store.latest(SeriesKey{1, ent, Metric::mac_cqi}, 1);
+  ASSERT_TRUE(cqi.is_ok());
+  EXPECT_EQ((*cqi)[0].v, 10.0);
+  auto mcs = store.latest(SeriesKey{1, ent, Metric::mac_mcs_dl}, 1);
+  ASSERT_TRUE(mcs.is_ok());
+  EXPECT_EQ((*mcs)[0].v, 12.0);
+
+  // A brand-new row that is rejected whole leaves nothing behind.
+  EXPECT_EQ(store.record_row(2, ent, 3 * kMilli, first).code(),
+            Errc::capacity);
+  EXPECT_EQ(store.dropped_samples(), 4u);
+  EXPECT_EQ(store.list_series().size(), 2u);
+}
+
+TEST(StoreRow, EvictionInsideTheRowBeingWrittenKeepsTheRow) {
+  const MetricValue row[] = {
+      {Metric::mac_cqi, 1.0},      {Metric::mac_mcs_dl, 2.0},
+      {Metric::mac_prbs_dl, 3.0},  {Metric::mac_bytes_dl, 4.0},
+      {Metric::mac_bytes_ul, 5.0}, {Metric::mac_bsr, 6.0}};
+  for (std::size_t budget : {1u, 2u}) {
+    TelemetryStore store(small_store(budget));
+    const std::uint32_t ent = make_entity(9);
+    // Each new series past the budget evicts an older one of this same row
+    // (with a budget of 1 the row is empty between eviction and creation).
+    ASSERT_TRUE(store.record_row(1, ent, kMilli, row).is_ok());
+    EXPECT_EQ(store.num_series(), budget);
+    EXPECT_EQ(store.evictions(), 6u - budget);
+    EXPECT_EQ(store.total_samples(), 6u);
+    EXPECT_EQ(store.dropped_samples(), 0u);
+    auto infos = store.list_series();
+    ASSERT_EQ(infos.size(), budget);
+    EXPECT_EQ(infos.back().key.metric, Metric::mac_bsr);
+    auto bsr = store.latest(SeriesKey{1, ent, Metric::mac_bsr}, 1);
+    ASSERT_TRUE(bsr.is_ok());
+    EXPECT_EQ((*bsr)[0].v, 6.0);
+    // The row stays usable: a second write finds it and its series.
+    ASSERT_TRUE(store.record_row(1, ent, 2 * kMilli,
+                                 std::span(row).last(budget))
+                    .is_ok());
+    EXPECT_EQ(store.evictions(), 6u - budget);
+    EXPECT_EQ(store.total_samples(), 6u + budget);
+  }
+}
+
+TEST(StoreRow, EvictingARowsLastSeriesDropsTheRow) {
+  TelemetryStore store(small_store(1));
+  auto a = key_of(1, 100, Metric::mac_cqi);
+  auto b = key_of(1, 101, Metric::mac_cqi);
+  ASSERT_TRUE(store.record(a, kMilli, 1.0).is_ok());
+  ASSERT_TRUE(store.record(b, 2 * kMilli, 2.0).is_ok());
+  EXPECT_EQ(store.find(a), nullptr);
+  ASSERT_EQ(store.list_series().size(), 1u);
+  EXPECT_EQ(store.list_series()[0].key, b);
+  ASSERT_TRUE(store.record(a, 3 * kMilli, 3.0).is_ok());
+  EXPECT_EQ(store.find(b), nullptr);
+  EXPECT_EQ(store.list_series()[0].key, a);
+}
+
+TEST(StoreRow, ListingIsInSeriesKeyOrder) {
+  TelemetryStore store(StoreConfig{});
+  // Rows and metrics arrive out of order; listings sort by
+  // (agent, entity, metric) all the same.
+  const MetricValue late[] = {{Metric::pdcp_rx_sdu_bytes, 1.0},
+                              {Metric::rlc_tx_bytes, 2.0}};
+  const MetricValue early[] = {{Metric::mac_bsr, 3.0},
+                               {Metric::mac_cqi, 4.0}};
+  ASSERT_TRUE(store.record_row(2, make_entity(5, 1), kMilli, late).is_ok());
+  ASSERT_TRUE(store.record_row(2, make_entity(5), kMilli, early).is_ok());
+  ASSERT_TRUE(store.record_row(1, make_entity(9, 2), kMilli, late).is_ok());
+  ASSERT_TRUE(store.record_row(1, make_entity(3), kMilli, early).is_ok());
+  auto infos = store.list_series();
+  ASSERT_EQ(infos.size(), 8u);
+  for (std::size_t i = 1; i < infos.size(); ++i)
+    EXPECT_LT(infos[i - 1].key, infos[i].key) << "at " << i;
 }
 
 TEST(Store, UnknownSeriesIsNotFound) {
@@ -412,6 +513,169 @@ TEST(Store, DumpJsonIsValidAndBounded) {
   EXPECT_EQ(s["raw"].as_array().size(), 8u);  // bounded tail
   // Newest sample last.
   EXPECT_EQ(s["raw"].as_array()[7].as_array()[1].as_number(), 200.0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden store streams: seeded MAC/RLC/PDCP report sequences pinned by hash.
+// The expected values were recorded on the per-sample map index; any index
+// behind the store must reproduce them bit for bit (series order, LRU
+// victims, rejections, raw tails and rollups).
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct GoldenResult {
+  std::uint64_t hash = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t total = 0;
+  std::uint64_t num_series = 0;
+};
+
+/// 3 agents x 8 UE slots at a 2 ms cadence for 3 s. Each slot is attached
+/// three quarters of the time and rejoins under a fresh rnti; agent 1 sends
+/// a late (150 ms old) report every 97 ticks. `budget_series` sizes the
+/// budget in whole series through the store's own accounting (0: default
+/// budget, which holds the whole stream).
+GoldenResult run_golden(bool extended, std::size_t budget_series, bool evict) {
+  StoreConfig cfg;
+  cfg.layout.raw_capacity = 32;
+  cfg.layout.tier1_capacity = 8;
+  cfg.layout.tier2_capacity = 4;
+  cfg.evict_on_budget = evict;
+  if (budget_series != 0) {
+    TelemetryStore probe(cfg);
+    cfg.memory_budget =
+        probe.memory_bytes() + budget_series * probe.per_series_cost();
+  }
+  TelemetryStore store(cfg);
+  Ingest ingest(store, IngestConfig{.extended_metrics = extended});
+  Rng rng(1234);
+  for (int tick = 0; tick < 1500; ++tick) {
+    for (AgentId agent = 0; agent < 3; ++agent) {
+      Nanos t = tick * 2 * kMilli + static_cast<Nanos>(agent) * kMicro;
+      if (agent == 1 && tick % 97 == 96) t -= 150 * kMilli;
+      e2sm::mac::IndicationMsg mac;
+      e2sm::rlc::IndicationMsg rlc;
+      e2sm::pdcp::IndicationMsg pdcp;
+      for (int u = 0; u < 8; ++u) {
+        int phase = tick + 200 * u + 50 * static_cast<int>(agent);
+        if (phase % 800 >= 600) continue;  // detached
+        auto rnti = static_cast<std::uint16_t>(1000 + 32 * u + phase / 800);
+        auto drb = static_cast<std::uint8_t>(1 + u % 2);
+        e2sm::mac::UeStats ue;
+        ue.rnti = rnti;
+        ue.cqi = static_cast<std::uint8_t>(1 + rng.bounded(15));
+        ue.mcs_dl = static_cast<std::uint8_t>(rng.bounded(29));
+        ue.mcs_ul = static_cast<std::uint8_t>(rng.bounded(29));
+        ue.prbs_dl = static_cast<std::uint32_t>(rng.bounded(106));
+        ue.prbs_ul = static_cast<std::uint32_t>(rng.bounded(106));
+        ue.bytes_dl = rng.bounded(150'000);
+        ue.bytes_ul = rng.bounded(50'000);
+        ue.bsr = static_cast<std::uint32_t>(rng.bounded(100'000));
+        ue.phr_db = static_cast<std::int64_t>(rng.bounded(60)) - 20;
+        ue.harq_retx = static_cast<std::uint32_t>(rng.bounded(4));
+        mac.ues.push_back(ue);
+        e2sm::rlc::BearerStats rb;
+        rb.rnti = rnti;
+        rb.drb_id = drb;
+        rb.tx_bytes = rng.bounded(150'000);
+        rb.rx_bytes = rng.bounded(150'000);
+        rb.buffer_bytes = static_cast<std::uint32_t>(rng.bounded(60'000));
+        rb.buffer_pkts = static_cast<std::uint32_t>(rng.bounded(50));
+        rb.sojourn_avg_ms = rng.uniform(0.1, 4.0);
+        rb.sojourn_max_ms = rb.sojourn_avg_ms + rng.uniform(0.0, 8.0);
+        rb.retx_pdus = static_cast<std::uint32_t>(rng.bounded(5));
+        rb.dropped_sdus = static_cast<std::uint32_t>(rng.bounded(3));
+        rlc.bearers.push_back(rb);
+        e2sm::pdcp::BearerStats pb;
+        pb.rnti = rnti;
+        pb.drb_id = drb;
+        pb.tx_sdu_bytes = rng.bounded(150'000);
+        pb.rx_sdu_bytes = rng.bounded(50'000);
+        pb.tx_pdus = static_cast<std::uint32_t>(rng.bounded(100));
+        pb.rx_pdus = static_cast<std::uint32_t>(rng.bounded(100));
+        pb.discarded_sdus = static_cast<std::uint32_t>(rng.bounded(3));
+        pdcp.bearers.push_back(pb);
+      }
+      ingest.mac(agent, t, mac);
+      ingest.rlc(agent, t, rlc);
+      ingest.pdcp(agent, t, pdcp);
+    }
+  }
+
+  // The dump's byte fields are the accounting constants (they move with
+  // the index's per-series overhead); everything from num_series on is
+  // behaviour. The formula itself is checked here instead.
+  EXPECT_EQ(store.memory_bytes(),
+            TelemetryStore(cfg).memory_bytes() +
+                store.num_series() * store.per_series_cost());
+  std::string dump = store.dump_json(8);
+  std::size_t from = dump.find("\"num_series\"");
+  EXPECT_NE(from, std::string::npos);
+  std::uint64_t h = fnv1a(0xcbf29ce484222325ULL, dump.substr(from));
+  char buf[160];
+  for (const SeriesInfo& info : store.list_series()) {
+    for (int tier : {1, 2}) {
+      auto rollups = store.rollups(info.key, tier,
+                                   std::numeric_limits<Nanos>::min(),
+                                   std::numeric_limits<Nanos>::max());
+      EXPECT_TRUE(rollups.is_ok());
+      if (!rollups.is_ok()) continue;
+      for (const Rollup& r : *rollups) {
+        std::snprintf(buf, sizeof(buf), "%lld %llu %.17g %.17g %.17g %.17g;",
+                      static_cast<long long>(r.t_start),
+                      static_cast<unsigned long long>(r.count), r.sum, r.min,
+                      r.max, r.sketch.quantile(0.5));
+        h = fnv1a(h, buf);
+      }
+    }
+  }
+  return {h, store.evictions(), store.dropped_samples(), store.total_samples(),
+          store.num_series()};
+}
+
+struct GoldenCase {
+  const char* name;
+  bool extended;
+  std::size_t budget_series;
+  bool evict;
+  GoldenResult want;
+};
+
+TEST(StoreGolden, SeededStreamsMatchRecordedState) {
+  const GoldenCase cases[] = {
+      {"core_generous", false, 0, true,
+       {0x24851970bdd646e0ULL, 0, 0, 324000, 720}},
+      {"extended_generous", true, 0, true,
+       {0xab48d4bdea8f47cdULL, 0, 0, 621000, 1380}},
+      {"core_churn_evict", false, 300, true,
+       {0x280999729c9024ddULL, 420, 0, 324000, 300}},
+      {"core_tight_evict", false, 100, true,
+       {0x9e17d7bfb2e69458ULL, 323900, 0, 324000, 100}},
+      {"extended_victim_in_row", true, 4, true,
+       {0xe58848b6490a37edULL, 620996, 0, 621000, 4}},
+      {"core_single_series", false, 1, true,
+       {0x5657e9516f626127ULL, 323999, 0, 324000, 1}},
+      {"core_tight_reject", false, 100, false,
+       {0x968f1c02e15ac0d5ULL, 0, 284200, 39800, 100}},
+      {"extended_tight_reject", true, 7, false,
+       {0x05e357f0f614ae78ULL, 0, 616800, 4200, 7}},
+  };
+  for (const GoldenCase& c : cases) {
+    GoldenResult got = run_golden(c.extended, c.budget_series, c.evict);
+    EXPECT_EQ(got.hash, c.want.hash) << c.name;
+    EXPECT_EQ(got.evictions, c.want.evictions) << c.name;
+    EXPECT_EQ(got.dropped, c.want.dropped) << c.name;
+    EXPECT_EQ(got.total, c.want.total) << c.name;
+    EXPECT_EQ(got.num_series, c.want.num_series) << c.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
