@@ -10,7 +10,8 @@
 // small for the working set to show eviction holding the bound. A
 // whole-cell leg replays the e2bench asn_large_decode working set (4 agents
 // x 32 UEs, 1536 series, one report per agent and SM every 2 ms) and
-// reports the steady-state ingest cost in ns/sample. Windowed-query latency
+// reports the steady-state ingest cost in ns/sample and the heap bytes its
+// series hold next to the accounted bytes_per_series(). Windowed-query latency
 // is then measured on the populated store at each resolution (raw / tier1 /
 // tier2 / automatic).
 #include <algorithm>
@@ -145,8 +146,14 @@ std::size_t budget_for(std::size_t series) {
 /// bearer, core KPI set = 1536 series) at a 2 ms report cadence. Series are
 /// created during a warm-up pass; each timed rep then ingests 1000 ticks
 /// and yields one ns/sample figure (ingest calls only, value churn
-/// excluded). Returns the per-rep figures, sorted.
-std::vector<double> run_whole_cell(int reps) {
+/// excluded).
+struct WholeCell {
+  std::vector<double> ns_per_sample;  ///< per rep, sorted
+  double heap_bytes_per_series = 0.0;  ///< mean TimeSeries::heap_bytes()
+  std::size_t accounted_bytes_per_series = 0;
+};
+
+WholeCell run_whole_cell(int reps) {
   constexpr int kAgents = 4;
   constexpr int kUes = 32;
   constexpr int kWarmTicks = 200;
@@ -172,16 +179,24 @@ std::vector<double> run_whole_cell(int reps) {
     return mono_now() - t0;
   };
   for (int i = 0; i < kWarmTicks; ++i) tick();
-  std::vector<double> ns_per_sample;
+  WholeCell out;
   for (int r = 0; r < reps; ++r) {
     std::uint64_t before = ingest.samples_in();
     Nanos spent = 0;
     for (int i = 0; i < kTicksPerRep; ++i) spent += tick();
-    ns_per_sample.push_back(static_cast<double>(spent) /
-                            static_cast<double>(ingest.samples_in() - before));
+    out.ns_per_sample.push_back(
+        static_cast<double>(spent) /
+        static_cast<double>(ingest.samples_in() - before));
   }
-  std::sort(ns_per_sample.begin(), ns_per_sample.end());
-  return ns_per_sample;
+  std::sort(out.ns_per_sample.begin(), out.ns_per_sample.end());
+  std::size_t heap = 0;
+  std::vector<telemetry::SeriesInfo> all = store.list_series();
+  for (const telemetry::SeriesInfo& info : all)
+    heap += store.find(info.key)->heap_bytes();
+  out.heap_bytes_per_series =
+      static_cast<double>(heap) / static_cast<double>(all.size());
+  out.accounted_bytes_per_series = cfg.layout.bytes_per_series();
+  return out;
 }
 
 struct QueryStats {
@@ -283,18 +298,25 @@ int main(int argc, char** argv) {
 
   // -- whole-cell working set (e2bench asn_large_decode) ---------------------
   {
-    std::vector<double> ns = run_whole_cell(7);
+    WholeCell cell = run_whole_cell(7);
+    const std::vector<double>& ns = cell.ns_per_sample;
     double median = ns[ns.size() / 2];
     double q1 = ns[ns.size() / 4];
     double q3 = ns[(3 * ns.size()) / 4];
     std::printf(
         "\n  whole cell (4 agents x 32 UEs, 1536 series, 2 ms cadence): "
         "%.1f ns/sample median (IQR %.1f-%.1f, 7 reps), %.2f us per "
-        "128-sample report\n",
-        median, q1, q3, median * 128.0 / 1000.0);
+        "128-sample report\n"
+        "  heap per series %.0f bytes (accounted bytes_per_series %zu)\n",
+        median, q1, q3, median * 128.0 / 1000.0, cell.heap_bytes_per_series,
+        cell.accounted_bytes_per_series);
     json.add("whole_cell_ns_per_sample", median, "ns");
     json.add("whole_cell_ns_per_sample_q1", q1, "ns");
     json.add("whole_cell_ns_per_sample_q3", q3, "ns");
+    json.add("whole_cell_heap_bytes_per_series", cell.heap_bytes_per_series,
+             "bytes");
+    json.add("whole_cell_bytes_per_series",
+             static_cast<double>(cell.accounted_bytes_per_series), "bytes");
   }
 
   // -- query latency on the populated 16-agent store ------------------------

@@ -1,5 +1,8 @@
 #include "telemetry/series.hpp"
 
+#include <algorithm>
+#include <span>
+
 namespace flexric::telemetry {
 
 namespace {
@@ -18,11 +21,25 @@ std::size_t ring_slot(std::size_t head, std::size_t i, std::size_t cap) {
   return at >= cap ? at - cap : at;
 }
 
+/// Empties an open bucket for reuse from `t_start`. Clears only the
+/// sketch's occupied range instead of assigning a whole fresh Rollup.
+void reopen(Rollup& r, Nanos t_start) noexcept {
+  r.t_start = t_start;
+  r.count = 0;
+  r.sum = 0.0;
+  r.min = std::numeric_limits<double>::infinity();
+  r.max = -std::numeric_limits<double>::infinity();
+  r.sketch.clear();
+}
+
 }  // namespace
 
 std::size_t SeriesLayout::bytes_per_series() const noexcept {
+  using TS = TimeSeries;
+  constexpr std::size_t kPerSlot = sizeof(TS::Slot) + sizeof(TS::SpillBlock) +
+                                   sizeof(std::unique_ptr<TS::SpillBlock>);
   return sizeof(TimeSeries) + raw_capacity * sizeof(RawSample) +
-         (tier1_capacity + tier2_capacity) * sizeof(Rollup);
+         (tier1_capacity + tier2_capacity) * kPerSlot;
 }
 
 TimeSeries::TimeSeries(const SeriesLayout& layout) : layout_(layout) {
@@ -31,15 +48,76 @@ TimeSeries::TimeSeries(const SeriesLayout& layout) : layout_(layout) {
   tier2_.slots.resize(layout_.tier2_capacity);
 }
 
+std::size_t TimeSeries::heap_bytes() const noexcept {
+  return sizeof(TimeSeries) + raw_.capacity() * sizeof(RawSample) +
+         tier1_.heap_bytes() + tier2_.heap_bytes();
+}
+
+std::size_t TimeSeries::RollupRing::heap_bytes() const noexcept {
+  return slots.capacity() * sizeof(Slot) +
+         spill.capacity() * sizeof(std::unique_ptr<SpillBlock>) +
+         spill.size() * sizeof(SpillBlock);
+}
+
 void TimeSeries::RollupRing::push(const Rollup& r) {
   if (slots.empty()) return;
+  std::size_t at = head;
   if (size < slots.size()) {
-    slots[ring_slot(head, size, slots.size())] = r;
+    at = ring_slot(head, size, slots.size());
     size++;
-  } else {
-    slots[head] = r;
-    if (++head == slots.size()) head = 0;
+  } else if (++head == slots.size()) {
+    head = 0;
   }
+  Slot& s = slots[at];
+  if (s.spill != kNoSpill) {  // the overwritten rollup's block is free again
+    spill[s.spill]->next_free = free_head;
+    free_head = s.spill;
+    s.spill = kNoSpill;
+  }
+  s.t_start = r.t_start;
+  s.count = r.count;
+  s.sum = r.sum;
+  s.min = r.min;
+  s.max = r.max;
+  std::span<const std::uint16_t> occ = r.sketch.occupied();
+  s.lo = static_cast<std::uint16_t>(r.sketch.lo());
+  s.n = static_cast<std::uint16_t>(occ.size());
+  std::uint16_t* dst = s.counts.data();
+  if (occ.size() > Slot::kInline) {
+    s.spill = take_block();
+    dst = spill[s.spill]->counts.data();
+  }
+  std::copy(occ.begin(), occ.end(), dst);
+}
+
+std::uint32_t TimeSeries::RollupRing::take_block() {
+  if (free_head == kNoSpill) grow_spill();
+  std::uint32_t id = free_head;
+  free_head = spill[id]->next_free;
+  return id;
+}
+
+// Runs only when the ring holds more wide rollups at once than ever before:
+// at most slots.size() times, and the table is reserved to that bound.
+// @coldpath spill-block growth, bounded by the slot count
+void TimeSeries::RollupRing::grow_spill() {
+  if (spill.empty()) spill.reserve(slots.size());
+  spill.push_back(std::make_unique<SpillBlock>());
+  spill.back()->next_free = free_head;
+  free_head = static_cast<std::uint32_t>(spill.size() - 1);
+}
+
+Rollup TimeSeries::RollupRing::expand(const Slot& s) const {
+  Rollup r;
+  r.t_start = s.t_start;
+  r.count = s.count;
+  r.sum = s.sum;
+  r.min = s.min;
+  r.max = s.max;
+  const std::uint16_t* counts =
+      s.spill == kNoSpill ? s.counts.data() : spill[s.spill]->counts.data();
+  r.sketch.assign(s.lo, {counts, s.n}, s.count);
+  return r;
 }
 
 // @hotpath one call per ingested sample
@@ -65,8 +143,7 @@ void TimeSeries::push(Nanos t, double v) {
   Nanos b1 = bucket_start(t, layout_.tier1_width);
   if (open1_active_ && b1 > open1_.t_start) close_tier1();
   if (!open1_active_) {
-    open1_ = Rollup{};
-    open1_.t_start = b1;
+    reopen(open1_, b1);
     open1_end_ = b1 > std::numeric_limits<Nanos>::max() - layout_.tier1_width
                      ? std::numeric_limits<Nanos>::max()
                      : b1 + layout_.tier1_width;
@@ -80,8 +157,7 @@ void TimeSeries::close_tier1() {
   Nanos b2 = bucket_start(open1_.t_start, layout_.tier2_width);
   if (open2_active_ && b2 > open2_.t_start) close_tier2();
   if (!open2_active_) {
-    open2_ = Rollup{};
-    open2_.t_start = b2;
+    reopen(open2_, b2);
     open2_active_ = true;
   }
   // Keep the tier2 bucket's aligned start: merge only folds in the stats.
@@ -124,8 +200,8 @@ std::vector<Rollup> TimeSeries::rollup_range(int tier, Nanos t0,
   std::vector<Rollup> out;
   const RollupRing& ring = tier == 1 ? tier1_ : tier2_;
   for (std::size_t i = 0; i < ring.size; ++i) {
-    const Rollup& r = ring.slots[ring_slot(ring.head, i, ring.slots.size())];
-    if (r.t_start >= t0 && r.t_start < t1) out.push_back(r);
+    const Slot& s = ring.slots[ring_slot(ring.head, i, ring.slots.size())];
+    if (s.t_start >= t0 && s.t_start < t1) out.push_back(ring.expand(s));
   }
   const Rollup& open = tier == 1 ? open1_ : open2_;
   bool open_active = tier == 1 ? open1_active_ : open2_active_;

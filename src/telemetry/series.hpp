@@ -13,16 +13,26 @@
 // the raw ring wraps, the overwritten window already lives in tier1, and by
 // the time tier1 wraps it lives in tier2 — old data degrades in resolution
 // instead of vanishing. Every ring is sized at construction and never
-// reallocates, which is what keeps store-level memory accounting a fixed
-// per-series cost.
+// reallocates.
+//
+// Closed rollups are stored compactly: a 64-byte slot holds the scalar
+// stats and the sketch's occupied bucket range, with up to eight counts
+// inline. A wider range spills into a dense block from the ring's free
+// list; blocks are allocated only when a ring holds more wide rollups at
+// once than ever before, so a series grows only up to its reservation
+// (one block per slot), and bytes_per_series() charges that reservation —
+// the store-level memory accounting stays a fixed per-series upper bound.
+// The open buckets stay dense Rollups, and queries expand slots back.
 //
 // Timestamps are expected non-decreasing (the indication stream is ordered
 // per agent). A late sample still lands in the raw ring and is folded into
 // the currently open rollup bucket rather than reopening a closed one.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -72,9 +82,16 @@ struct SeriesLayout {
   Nanos tier1_width = 100 * kMilli;
   Nanos tier2_width = kSecond;
 
-  /// Exact bytes one series costs under this layout (ring payloads plus the
-  /// fixed TimeSeries object); the store multiplies this for its budget.
+  /// Bytes one series may own under this layout: the fixed TimeSeries
+  /// object and ring payloads, with every rollup slot's spill block
+  /// reserved. An upper bound of TimeSeries::heap_bytes(); the store
+  /// multiplies it for its budget.
   [[nodiscard]] std::size_t bytes_per_series() const noexcept;
+  /// Most heap blocks one series owns: the raw ring, two slot rings, two
+  /// spill tables and one spill block per rollup slot.
+  [[nodiscard]] std::size_t heap_blocks() const noexcept {
+    return 5 + tier1_capacity + tier2_capacity;
+  }
 };
 
 class TimeSeries {
@@ -110,13 +127,55 @@ class TimeSeries {
   [[nodiscard]] Nanos oldest_rollup_t(int tier) const noexcept;
 
   [[nodiscard]] const SeriesLayout& layout() const noexcept { return layout_; }
+  /// Heap bytes this series owns now (object, rings, spill blocks; no
+  /// allocator overhead). Never above layout().bytes_per_series().
+  [[nodiscard]] std::size_t heap_bytes() const noexcept;
+  /// Spill blocks both rollup rings hold, in use or free; at most
+  /// tier1_capacity + tier2_capacity.
+  [[nodiscard]] std::size_t spill_blocks() const noexcept {
+    return tier1_.spill.size() + tier2_.spill.size();
+  }
 
  private:
+  friend struct SeriesLayout;
+  static constexpr std::uint32_t kNoSpill = 0xFFFFFFFF;
+
+  /// A closed rollup as a tier ring keeps it: the scalar stats and the
+  /// sketch's occupied buckets [lo, lo + n), inline when n <= kInline, else
+  /// in spill block `spill`. The sketch total is `count`.
+  struct Slot {
+    static constexpr std::size_t kInline = 8;
+    Nanos t_start = 0;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    std::uint16_t lo = 0;
+    std::uint16_t n = 0;
+    std::uint32_t spill = kNoSpill;
+    std::array<std::uint16_t, kInline> counts{};
+  };
+  static_assert(sizeof(Slot) == 64, "one cache line per closed rollup");
+
+  /// Dense counts of one wide rollup; a free block links to the next.
+  struct SpillBlock {
+    std::array<std::uint16_t, QuantileSketch::kBuckets> counts;
+    std::uint32_t next_free;
+  };
+
   struct RollupRing {
-    std::vector<Rollup> slots;
+    std::vector<Slot> slots;
+    /// Every block this ring ever allocated; each is held by one slot or
+    /// linked from free_head. Never more than slots.size().
+    std::vector<std::unique_ptr<SpillBlock>> spill;
+    std::uint32_t free_head = kNoSpill;
     std::size_t head = 0;  ///< index of the oldest entry
     std::size_t size = 0;
     void push(const Rollup& r);
+    [[nodiscard]] Rollup expand(const Slot& s) const;
+    std::uint32_t take_block();
+    void grow_spill();
+    [[nodiscard]] std::size_t heap_bytes() const noexcept;
   };
 
   void close_tier1();

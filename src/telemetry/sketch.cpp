@@ -1,5 +1,6 @@
 #include "telemetry/sketch.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace flexric::telemetry {
@@ -34,7 +35,7 @@ double QuantileSketch::quantile(double q) const noexcept {
       static_cast<std::uint64_t>(q * static_cast<double>(total_ - 1));
   std::uint64_t cum = 0;
   std::size_t last_nonzero = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
+  for (std::size_t i = lo_; i < hi_; ++i) {
     if (counts_[i] == 0) continue;
     last_nonzero = i;
     cum += counts_[i];
@@ -42,6 +43,16 @@ double QuantileSketch::quantile(double q) const noexcept {
   }
   // Reachable only when bucket saturation made sum(counts) < total_.
   return bucket_value(last_nonzero);
+}
+
+void QuantileSketch::assign(std::size_t lo, std::span<const std::uint16_t> counts,
+                            std::uint64_t total) noexcept {
+  clear();
+  if (counts.empty() || lo + counts.size() > kBuckets) return;
+  std::copy(counts.begin(), counts.end(), counts_.begin() + lo);
+  total_ = total;
+  lo_ = static_cast<std::uint16_t>(lo);
+  hi_ = static_cast<std::uint16_t>(lo + counts.size());
 }
 
 }  // namespace flexric::telemetry

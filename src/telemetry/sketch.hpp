@@ -17,10 +17,16 @@
 // overflow bucket collects v ≥ kMaxValue (reported as kMaxValue, clamped).
 // Counts saturate at 65535 per bucket; a rollup covers at most a few
 // thousand 1 ms samples, far below saturation.
+//
+// The sketch tracks its occupied bucket range [lo, hi): KPIs such as CQI,
+// MCS or PRB counts fill a few adjacent buckets, so merge, clear and
+// quantile walk that range instead of all kBuckets, and the series' closed
+// rollup rings keep only the range (series.hpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace flexric::telemetry {
 
@@ -37,19 +43,41 @@ class QuantileSketch {
   static constexpr std::size_t kBuckets =
       2 + static_cast<std::size_t>(kMaxExp - kMinExp + 1) * kSub;
 
-  void record(double v) noexcept { bump(bucket_of(v), 1); }
-  /// Bucket-wise merge (saturating); merging adds no quantile error.
+  void record(double v) noexcept {
+    std::size_t i = bucket_of(v);
+    bump(i, 1);
+    total_++;
+    widen(i, i + 1);
+  }
+  /// Bucket-wise merge (saturating); merging adds no quantile error and
+  /// keeps the true total.
   void merge(const QuantileSketch& o) noexcept {
-    for (std::size_t i = 0; i < kBuckets; ++i) bump(i, o.counts_[i]);
+    for (std::size_t i = o.lo_; i < o.hi_; ++i) bump(i, o.counts_[i]);
+    total_ += o.total_;
+    widen(o.lo_, o.hi_);
   }
   [[nodiscard]] std::uint64_t count() const noexcept { return total_; }
   /// q in [0,1], nearest-rank over buckets; midpoint of the selected
   /// bucket. Returns 0 when empty. NaN q is treated as 0.
   [[nodiscard]] double quantile(double q) const noexcept;
   void clear() noexcept {
-    counts_.fill(0);
+    for (std::size_t i = lo_; i < hi_; ++i) counts_[i] = 0;
     total_ = 0;
+    lo_ = kBuckets;
+    hi_ = 0;
   }
+
+  /// First bucket of the occupied range (0 when empty).
+  [[nodiscard]] std::size_t lo() const noexcept { return hi_ > lo_ ? lo_ : 0; }
+  /// Counts of the occupied range, first and last non-zero.
+  [[nodiscard]] std::span<const std::uint16_t> occupied() const noexcept {
+    if (hi_ <= lo_) return {};
+    return {counts_.data() + lo_, static_cast<std::size_t>(hi_ - lo_)};
+  }
+  /// Replaces the contents with `counts` at buckets [lo, lo + size) and the
+  /// true total `total` — the inverse of lo()/occupied()/count().
+  void assign(std::size_t lo, std::span<const std::uint16_t> counts,
+              std::uint64_t total) noexcept;
 
   /// Value -> bucket index (exposed for tests).
   static std::size_t bucket_of(double v) noexcept;
@@ -61,10 +89,18 @@ class QuantileSketch {
     std::uint32_t c = counts_[idx];
     counts_[idx] = static_cast<std::uint16_t>(
         c + by > 0xFFFF ? 0xFFFF : c + by);
-    total_ += by;
+  }
+  /// Grows the occupied range to cover [lo, hi). An empty sketch's range
+  /// (kBuckets, 0) leaves any range unchanged.
+  void widen(std::size_t lo, std::size_t hi) noexcept {
+    if (lo < lo_) lo_ = static_cast<std::uint16_t>(lo);
+    if (hi > hi_) hi_ = static_cast<std::uint16_t>(hi);
   }
   std::uint64_t total_ = 0;  ///< true count, unaffected by saturation
   std::array<std::uint16_t, kBuckets> counts_{};
+  // Occupied range [lo_, hi_); exactly (kBuckets, 0) while empty.
+  std::uint16_t lo_ = kBuckets;
+  std::uint16_t hi_ = 0;
 };
 
 }  // namespace flexric::telemetry

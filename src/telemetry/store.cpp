@@ -87,7 +87,8 @@ Result<Metric> metric_from_name(std::string_view name) {
 }
 
 TelemetryStore::TelemetryStore(StoreConfig cfg) : cfg_(cfg) {
-  per_series_cost_ = cfg_.layout.bytes_per_series() + kSeriesOverhead;
+  per_series_cost_ = cfg_.layout.bytes_per_series() + kSeriesOverhead +
+                     cfg_.layout.heap_blocks() * kHeapBlockOverhead;
 }
 
 std::size_t TelemetryStore::row_index(RowKey key) const noexcept {

@@ -15,9 +15,10 @@
 // sample; a query is a row lookup plus a metric slot.
 //
 // Memory model: every series is accounted at
-// SeriesLayout::bytes_per_series() + kSeriesOverhead bytes, where the
-// overhead is the worst-case index cost of a row that holds this series
-// alone (rings never reallocate), so the accounted total
+// SeriesLayout::bytes_per_series() + kSeriesOverhead bytes plus allocator
+// overhead for each of its heap blocks, where bytes_per_series() reserves
+// every rollup slot's spill block and the overhead is the worst-case index
+// cost of a row that holds this series alone, so the accounted total
 // sizeof(store) + series_count * per_series_cost is an upper bound of the
 // heap the store owns and admission is a simple comparison. When creating a
 // series would exceed the budget the store either evicts the
@@ -225,13 +226,14 @@ class TelemetryStore {
   /// Allocator bookkeeping per heap block (one size word, 16-byte
   /// granularity).
   static constexpr std::size_t kHeapBlockOverhead = 16;
-  /// Worst-case bytes a series costs beyond SeriesLayout::bytes_per_series():
-  /// a row that holds only this series — its index slot (twice, for vector
-  /// growth slack), the Row block and the Entry's own fields — plus the
-  /// allocator overhead of the Row, the Entry and the three ring blocks.
+  /// Worst-case bytes a series costs beyond SeriesLayout::bytes_per_series()
+  /// and its own heap blocks' allocator overhead: a row that holds only
+  /// this series — its index slot (twice, for vector growth slack), the Row
+  /// block and the Entry's own fields — plus the allocator overhead of the
+  /// Row and the Entry.
   static constexpr std::size_t kSeriesOverhead =
       2 * sizeof(RowSlot) + sizeof(Row) +
-      (sizeof(Entry) - sizeof(TimeSeries)) + 5 * kHeapBlockOverhead;
+      (sizeof(Entry) - sizeof(TimeSeries)) + 2 * kHeapBlockOverhead;
 
   /// Position of the first index slot whose key is not less than `key`.
   [[nodiscard]] std::size_t row_index(RowKey key) const noexcept;

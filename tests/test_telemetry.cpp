@@ -6,9 +6,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <deque>
 #include <limits>
+#include <new>
 #include <string_view>
 #include <thread>
 
@@ -23,6 +27,24 @@
 #include "ran/functions.hpp"
 #include "telemetry/ingest.hpp"
 #include "telemetry/store.hpp"
+
+// Allocation counting for the steady-state push test: this binary's global
+// operator new bumps a per-thread counter.
+namespace {
+thread_local std::uint64_t t_allocs = 0;
+void* counted_alloc(std::size_t n) {
+  t_allocs++;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace flexric::telemetry {
 namespace {
@@ -118,6 +140,37 @@ TEST(Sketch, ClearResets) {
   s.clear();
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.quantile(0.5), 0.0);
+}
+
+// A merge adds the other sketch's true total, not its saturated counts.
+TEST(Sketch, MergeIntoEmptyKeepsSaturatedCount) {
+  QuantileSketch src;
+  for (int i = 0; i < 70000; ++i) src.record(8.0);
+  for (int i = 0; i < 10; ++i) src.record(1000.0);
+  QuantileSketch dst;
+  dst.merge(src);
+  EXPECT_EQ(dst.count(), 70010u);
+  for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 0.9999, 1.0})
+    EXPECT_EQ(dst.quantile(q), src.quantile(q)) << "q=" << q;
+}
+
+TEST(Sketch, OccupiedRangeRoundTrips) {
+  QuantileSketch s;
+  EXPECT_TRUE(s.occupied().empty());
+  s.record(3.0);
+  s.record(-1.0);  // underflow bucket 0
+  s.record(40.0);
+  ASSERT_EQ(s.lo(), 0u);
+  ASSERT_EQ(s.occupied().size(), QuantileSketch::bucket_of(40.0) + 1);
+  EXPECT_NE(s.occupied().front(), 0u);
+  EXPECT_NE(s.occupied().back(), 0u);
+  QuantileSketch copy;
+  copy.assign(s.lo(), s.occupied(), s.count());
+  EXPECT_EQ(copy.count(), 3u);
+  for (double q : {0.0, 0.5, 1.0}) EXPECT_EQ(copy.quantile(q), s.quantile(q));
+  copy.clear();
+  EXPECT_TRUE(copy.occupied().empty());
+  EXPECT_EQ(copy.quantile(0.5), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -248,6 +301,211 @@ TEST(TimeSeries, LatestReturnsNewestInOrder) {
   EXPECT_EQ(tail[0].v, 18.0);
   EXPECT_EQ(tail[2].v, 20.0);
   EXPECT_EQ(series.latest(100).size(), 20u);
+}
+
+// ---------------------------------------------------------------------------
+// TimeSeries: compact closed-rollup slots against a dense reference
+// ---------------------------------------------------------------------------
+
+Nanos floor_to(Nanos t, Nanos width) {
+  Nanos q = t / width;
+  if (t % width != 0 && t < 0) q--;
+  return q * width;
+}
+
+/// TimeSeries' rollup cascade kept densely: every closed tier-1 and tier-2
+/// Rollup is stored whole, as the rings stored them before slots were
+/// compacted.
+struct DenseTiers {
+  explicit DenseTiers(const SeriesLayout& l) : layout(l) {}
+  SeriesLayout layout;
+  std::deque<Rollup> closed1, closed2;
+  Rollup open1, open2;
+  bool active1 = false;
+  bool active2 = false;
+
+  void push(Nanos t, double v) {
+    Nanos b1 = floor_to(t, layout.tier1_width);
+    if (active1 && b1 > open1.t_start) close1();
+    if (!active1) {
+      open1 = Rollup{};
+      open1.t_start = b1;
+      active1 = true;
+    }
+    open1.add(v);
+  }
+  static void keep(std::deque<Rollup>& ring, const Rollup& r,
+                   std::size_t cap) {
+    ring.push_back(r);
+    if (ring.size() > cap) ring.pop_front();
+  }
+  void close1() {
+    keep(closed1, open1, layout.tier1_capacity);
+    Nanos b2 = floor_to(open1.t_start, layout.tier2_width);
+    if (active2 && b2 > open2.t_start) {
+      keep(closed2, open2, layout.tier2_capacity);
+      active2 = false;
+    }
+    if (!active2) {
+      open2 = Rollup{};
+      open2.t_start = b2;
+      active2 = true;
+    }
+    open2.merge(open1);
+    active1 = false;
+  }
+  [[nodiscard]] std::vector<Rollup> tier(int n) const {
+    const auto& closed = n == 1 ? closed1 : closed2;
+    std::vector<Rollup> out(closed.begin(), closed.end());
+    if (n == 1 ? active1 : active2) out.push_back(n == 1 ? open1 : open2);
+    return out;
+  }
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_rollups(const TimeSeries& series, const DenseTiers& ref,
+                         const char* what) {
+  for (int tier : {1, 2}) {
+    std::vector<Rollup> got =
+        series.rollup_range(tier, std::numeric_limits<Nanos>::min(),
+                            std::numeric_limits<Nanos>::max());
+    std::vector<Rollup> want = ref.tier(tier);
+    ASSERT_EQ(got.size(), want.size()) << what << " tier " << tier;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const Rollup& g = got[i];
+      const Rollup& w = want[i];
+      SCOPED_TRACE(testing::Message() << what << " tier " << tier << " #"
+                                      << i << " t=" << w.t_start);
+      ASSERT_EQ(g.t_start, w.t_start);
+      EXPECT_EQ(g.count, w.count);
+      EXPECT_TRUE(same_bits(g.sum, w.sum));
+      EXPECT_TRUE(same_bits(g.min, w.min));
+      EXPECT_TRUE(same_bits(g.max, w.max));
+      EXPECT_EQ(g.sketch.count(), w.sketch.count());
+      EXPECT_EQ(g.sketch.count(), g.count);
+      for (double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0})
+        EXPECT_TRUE(same_bits(g.sketch.quantile(q), w.sketch.quantile(q)))
+            << "q=" << q;
+    }
+  }
+}
+
+/// A value drawn to make rollups span many buckets: log-uniform over the
+/// whole sketch range, plus zeros, negatives, NaN and values at or beyond
+/// kMaxValue.
+double wide_value(Rng& rng) {
+  switch (rng.bounded(10)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -rng.uniform(0.0, 100.0);
+    case 2:
+      return std::numeric_limits<double>::quiet_NaN();
+    case 3:
+      return rng.chance(0.5) ? QuantileSketch::kMaxValue
+                             : std::numeric_limits<double>::infinity();
+    default:
+      return std::exp2(rng.uniform(-10.0, 58.0));
+  }
+}
+
+SeriesLayout small_rings() {
+  SeriesLayout layout;
+  layout.raw_capacity = 16;
+  layout.tier1_capacity = 8;
+  layout.tier2_capacity = 4;
+  return layout;
+}
+
+TEST(TimeSeriesCompact, SlotsMatchDenseReference) {
+  for (std::uint64_t seed : {3u, 17u, 101u, 4242u}) {
+    Rng rng(seed);
+    DenseTiers ref(small_rings());
+    TimeSeries series(ref.layout);
+    Nanos t = 0;
+    for (int i = 0; i < 20000; ++i) {
+      t += static_cast<Nanos>(1 + rng.bounded(3)) * kMilli;
+      // Narrow runs (one KPI level) alternate with wide bursts.
+      bool wide = (i / 500) % 2 == 1;
+      double v = wide ? wide_value(rng) : static_cast<double>(rng.bounded(4));
+      Nanos at = rng.chance(0.01) ? t - 150 * kMilli : t;  // late sample
+      series.push(at, v);
+      ref.push(at, v);
+    }
+    expect_same_rollups(series, ref, "wide");
+  }
+}
+
+TEST(TimeSeriesCompact, SaturatedBucketsMatchDenseReference) {
+  DenseTiers ref(small_rings());
+  TimeSeries series(ref.layout);
+  // 70,000 samples of one value inside one 100 ms bucket saturate its
+  // count; a few spread values make the range spill.
+  for (int rollup = 0; rollup < 12; ++rollup) {
+    Nanos base = rollup * 100 * kMilli;
+    for (int i = 0; i < 70000; ++i) {
+      Nanos at = base + i * kMicro;
+      double v = i % 10000 == 0 ? std::exp2(i / 10000) * 1000.0 : 8.0;
+      series.push(at, v);
+      ref.push(at, v);
+    }
+  }
+  expect_same_rollups(series, ref, "saturated");
+}
+
+TEST(TimeSeriesCompact, SpillBlocksStayWithinSlotCountAcrossWraps) {
+  SeriesLayout layout = small_rings();
+  TimeSeries series(layout);
+  Rng rng(9);
+  // ~200 wraps of tier 1, ~50 of tier 2; every fourth second is narrow so
+  // blocks go back to the free list and are reused.
+  for (int i = 0; i < 200000; ++i) {
+    Nanos t = (i + 1) * kMilli;
+    bool narrow = (i / 1000) % 4 == 3;
+    series.push(t, narrow ? 5.0 : wide_value(rng));
+  }
+  EXPECT_GT(series.spill_blocks(), 0u);
+  EXPECT_LE(series.spill_blocks(),
+            layout.tier1_capacity + layout.tier2_capacity);
+}
+
+TEST(TimeSeriesCompact, SteadyStateSpillingPushesDoNotAllocate) {
+  SeriesLayout layout = small_rings();
+  TimeSeries series(layout);
+  Rng rng(23);
+  Nanos t = 0;
+  auto run = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      t += kMilli;
+      series.push(t, wide_value(rng));
+    }
+  };
+  run(20000);  // both rings full of spilled rollups: high-water reached
+  ASSERT_EQ(series.spill_blocks(),
+            layout.tier1_capacity + layout.tier2_capacity);
+  std::uint64_t before = t_allocs;
+  run(20000);
+  EXPECT_EQ(t_allocs - before, 0u);
+}
+
+TEST(TimeSeriesCompact, HeapBytesStayWithinAccountedBytes) {
+  SeriesLayout layout;  // default capacities
+  TimeSeries narrow(layout);
+  TimeSeries wide(layout);
+  Rng rng(31);
+  for (int i = 0; i < 200000; ++i) {
+    Nanos t = (i + 1) * kMilli;
+    narrow.push(t, 12.0);
+    wide.push(t, wide_value(rng));
+  }
+  EXPECT_EQ(narrow.spill_blocks(), 0u);
+  EXPECT_EQ(wide.spill_blocks(),
+            layout.tier1_capacity + layout.tier2_capacity);
+  EXPECT_LE(wide.heap_bytes(), layout.bytes_per_series());
+  EXPECT_LT(narrow.heap_bytes() * 5, layout.bytes_per_series());
 }
 
 // ---------------------------------------------------------------------------

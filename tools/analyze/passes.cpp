@@ -422,8 +422,10 @@ void pass_hotpath_alloc(const Corpus& corpus, const FileUnit& f,
     }
   }
   // Same-file call-graph propagation to a fixpoint: a plain `callee(...)`
-  // inside a hot body marks every same-named span hot (no overload
-  // resolution — `@coldpath` is the opt-out for cold overloads).
+  // inside a hot body marks every same-named span hot, and a member call
+  // `x.callee(...)` / `x->callee(...)` every same-named method span (no
+  // receiver typing or overload resolution — `@coldpath` is the opt-out for
+  // cold overloads).
   std::multimap<std::string, std::size_t> by_name;
   for (std::size_t s = 0; s < ix.funcs.size(); ++s)
     if (!ix.funcs[s].name.empty()) by_name.emplace(ix.funcs[s].name, s);
@@ -437,12 +439,14 @@ void pass_hotpath_alloc(const Corpus& corpus, const FileUnit& f,
       for (std::size_t i = sp.body_begin + 1; i + 1 < end; ++i) {
         if (t[i].kind != Tok::identifier || !is_punct(t[i + 1], "("))
           continue;
-        if (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->") ||
-            is_punct(t[i - 1], "::"))
-          continue;  // member/qualified call: target unknown, skip
+        if (is_punct(t[i - 1], "::"))
+          continue;  // qualified call: target unknown, skip
+        bool member = is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->");
         auto [lo, hi] = by_name.equal_range(t[i].text);
         for (auto it = lo; it != hi; ++it) {
-          if (hot[it->second] || ix.funcs[it->second].coldpath) continue;
+          const FuncSpan& callee = ix.funcs[it->second];
+          if (hot[it->second] || callee.coldpath) continue;
+          if (member && callee.owner.empty()) continue;  // not a method
           hot[it->second] = 1;
           changed = true;
         }
